@@ -23,10 +23,10 @@
 //!   90-model space without executing a single test;
 //! * [`strength`] — the static strength preorder/lattice over any model
 //!   set, built from the normalized tables;
-//! * [`prefilter`] — the sweep prefilter: per test, the set of valuations
-//!   its program-order pairs realize (the *relaxation signature*); models
-//!   whose tables agree on that restriction provably share the test's
-//!   verdict and need one checker call per group;
+//! * [`prefilter`] — the sweep prefilter: per test, each program-order
+//!   pair's valuation slot, and each model's forced-edge mask read off its
+//!   table; models with equal masks provably share the test's verdict, so
+//!   the test's model quotient needs one checker call per group;
 //! * [`lint`] — static lints over formulas (redundant conjuncts, absorbed
 //!   disjuncts, infeasible terms, constant formulas), model sets
 //!   (catalog duplicates) and litmus tests (never-read writes,
@@ -46,7 +46,7 @@ pub mod universe;
 pub use dnf::minimized_dnf;
 pub use elide::{elidable, guarded_fragment, normalize};
 pub use lint::{lint_formula, lint_models, lint_test, Finding};
-pub use prefilter::SweepPrefilter;
+pub use prefilter::{Quotient, SweepPrefilter};
 pub use strength::{ModelAnalysis, StrengthAnalysis};
 pub use table::{SemanticKey, TruthTable};
 pub use universe::{AtomUniverse, Kind, Valuation};

@@ -90,22 +90,6 @@ impl TruthTable {
         self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
     }
 
-    /// The restriction of this table to the slots of `mask` — the key the
-    /// sweep prefilter groups models by.
-    #[must_use]
-    pub fn restrict(&self, mask: &TruthTable) -> TruthTable {
-        assert_eq!(self.len, mask.len, "tables over different universes");
-        TruthTable {
-            words: self
-                .words
-                .iter()
-                .zip(&mask.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-            len: self.len,
-        }
-    }
-
     /// The raw words (low bit of word 0 is slot 0).
     #[must_use]
     pub fn words(&self) -> &[u64] {

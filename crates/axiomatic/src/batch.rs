@@ -27,6 +27,13 @@
 //!   atoms are constants, so the guarded units *are* its Tseitin encoding
 //!   restricted to this test.)
 //!
+//! Each backend has one decision core over *forced-edge sets*. A caller
+//! that has already quotiented the row — the sweep engine, from the
+//! prefilter's truth tables — hands the sets straight to
+//! [`BatchChecker::check_edge_sets`] and gets verdict bits back;
+//! [`BatchChecker::check_all_executions`] is the same core behind a
+//! `forced_po_pairs` grouping of its own, plus witness rebuilding.
+//!
 //! Every per-cell [`Checker`] doubles as a [`BatchChecker`] through a
 //! blanket adapter that simply loops over the row — that is what the
 //! sweep engine's old call sites, `mcm-synth`'s oracle and the
@@ -40,9 +47,9 @@ use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
 use mcm_sat::{SatResult, Solver, SolverStats};
 
 use crate::checker::{Checker, Verdict, Witness};
-use crate::co::enumerate_co_orders;
+use crate::co::{enumerate_co_orders, CoOrder};
 use crate::hb::{base_edges, forced_po_pairs, required_edges};
-use crate::rf::{enumerate_rf_maps, read_candidates};
+use crate::rf::{enumerate_rf_maps, read_candidates, RfMap};
 use crate::sat_common::{
     add_rf_selector_clauses, extract_rf, ClauseSink, GuardedSink, OrderVars,
 };
@@ -53,10 +60,13 @@ use crate::sat_common::{
 pub struct BatchStats {
     /// Rows answered: one per `check_all` / `check_all_executions` call.
     pub rows: u64,
-    /// Model verdicts produced across all rows.
+    /// Model verdicts produced across all rows (one per edge set for
+    /// [`BatchChecker::check_edge_sets`]).
     pub models_checked: u64,
-    /// Distinct forced-program-order groups evaluated (summed over rows).
-    /// `models_checked / model_groups` is the row collapse factor.
+    /// Distinct forced-program-order groups decided (summed over rows,
+    /// value-infeasible rows included). `models_checked / model_groups`
+    /// is the row collapse factor; it is 1 when the caller hands over an
+    /// already quotiented row.
     pub model_groups: u64,
     /// Shared `(rf, co)` candidate executions enumerated (explicit path)
     /// — enumerated once per row instead of once per cell.
@@ -118,6 +128,16 @@ fn observe_row(checker: &'static str, started: mcm_obs::Stopwatch, candidates: u
     }
 }
 
+/// One pre-grouped forced-edge set: a representative model and the
+/// program-order pairs its formula forces on the execution at hand.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeSet<'a> {
+    /// Any model forcing exactly `pairs` (the per-cell fallback checks it).
+    pub model: &'a MemoryModel,
+    /// `forced_po_pairs(model, exec)`.
+    pub pairs: &'a [(EventId, EventId)],
+}
+
 /// An admissibility checker that answers a whole row of models against
 /// one test, amortizing the model-independent work across the row.
 ///
@@ -130,6 +150,20 @@ pub trait BatchChecker {
     /// Decides admissibility of a pre-derived candidate execution under
     /// every model, in order.
     fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict>;
+
+    /// Decides admissibility under pre-grouped, pairwise-distinct
+    /// forced-edge sets — a model quotient computed by the caller — and
+    /// returns one allowed bit per set, without witnesses. The default
+    /// clones the representatives and asks
+    /// [`BatchChecker::check_all_executions`]; the native batched
+    /// checkers run the sets through their decision core directly.
+    fn check_edge_sets(&self, exec: &Execution, sets: &[EdgeSet<'_>]) -> Vec<bool> {
+        let models: Vec<MemoryModel> = sets.iter().map(|set| set.model.clone()).collect();
+        self.check_all_executions(exec, &models)
+            .into_iter()
+            .map(|verdict| verdict.allowed)
+            .collect()
+    }
 
     /// Decides admissibility of a litmus test under every model, in order.
     fn check_all(&self, test: &LitmusTest, models: &[MemoryModel]) -> Vec<Verdict> {
@@ -172,31 +206,64 @@ impl<C: Checker> BatchChecker for C {
     }
 }
 
-/// The model row quotiented by forced program-order pairs: two models
-/// whose formulas force the same same-thread orderings *on this
-/// execution* are indistinguishable here and share every downstream
-/// answer.
-struct ModelGroups {
-    /// One entry per group: the forced pairs and a representative model
-    /// index (used to rebuild labeled witness edges).
-    groups: Vec<(Vec<(EventId, EventId)>, usize)>,
-    /// Model index → group index.
-    group_of: Vec<usize>,
-}
+/// Called by a decision core when edge set `g` is first admitted, with
+/// the `(rf, co)` candidate that admits it.
+type OnAllow<'a> = &'a mut dyn FnMut(usize, &RfMap, &CoOrder);
 
-fn group_models(exec: &Execution, models: &[MemoryModel]) -> ModelGroups {
-    let mut groups: Vec<(Vec<(EventId, EventId)>, usize)> = Vec::new();
+/// `check_all_executions` over a decision core: quotient the row by
+/// forced program-order pairs (two models forcing the same same-thread
+/// orderings *on this execution* share every answer), decide each group
+/// once, rebuild each allowed group's labeled witness from its
+/// representative, and fan the verdicts out in model order.
+fn check_row(
+    exec: &Execution,
+    models: &[MemoryModel],
+    core: impl FnOnce(&[EdgeSet<'_>], OnAllow<'_>) -> Vec<bool>,
+) -> Vec<Verdict> {
+    let mut pairs: Vec<Vec<(EventId, EventId)>> = Vec::new();
+    let mut reps: Vec<usize> = Vec::new();
     let mut index: HashMap<Vec<(EventId, EventId)>, usize> = HashMap::new();
-    let mut group_of = Vec::with_capacity(models.len());
-    for (m, model) in models.iter().enumerate() {
-        let pairs = forced_po_pairs(model, exec);
-        let group = *index.entry(pairs.clone()).or_insert_with(|| {
-            groups.push((pairs, m));
-            groups.len() - 1
+    let group_of: Vec<usize> = models
+        .iter()
+        .enumerate()
+        .map(|(m, model)| {
+            *index
+                .entry(forced_po_pairs(model, exec))
+                .or_insert_with_key(|key| {
+                    pairs.push(key.clone());
+                    reps.push(m);
+                    reps.len() - 1
+                })
+        })
+        .collect();
+    let sets: Vec<EdgeSet<'_>> = pairs
+        .iter()
+        .zip(&reps)
+        .map(|(pairs, &m)| EdgeSet {
+            model: &models[m],
+            pairs,
+        })
+        .collect();
+    let mut witnesses: Vec<Option<Witness>> = vec![None; sets.len()];
+    core(&sets, &mut |g, rf, co| {
+        // Rebuild the labeled edge set through the shared constructor so
+        // the witness matches the per-cell checkers' exactly.
+        let edges = required_edges(sets[g].model, exec, rf, co);
+        debug_assert!(edges.admits_partial_order(exec));
+        witnesses[g] = Some(Witness {
+            rf: rf.clone(),
+            co: co.clone(),
+            hb_edges: edges.labeled,
         });
-        group_of.push(group);
-    }
-    ModelGroups { groups, group_of }
+    });
+    group_of
+        .iter()
+        .map(|&g| {
+            witnesses[g]
+                .clone()
+                .map_or_else(Verdict::forbidden, Verdict::allowed)
+        })
+        .collect()
 }
 
 /// Batched admissibility by `(rf, co)` enumeration shared across the row.
@@ -217,35 +284,33 @@ impl BatchExplicitChecker {
     pub fn new() -> Self {
         BatchExplicitChecker::default()
     }
-}
 
-impl BatchChecker for BatchExplicitChecker {
-    fn name(&self) -> &'static str {
-        "batch-explicit"
-    }
-
-    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+    /// The decision core: every shared candidate is enumerated once and
+    /// each still-undecided edge set costs one graph union on it.
+    fn decide(
+        &self,
+        exec: &Execution,
+        models_checked: usize,
+        sets: &[EdgeSet<'_>],
+        mut on_allow: Option<OnAllow<'_>>,
+    ) -> Vec<bool> {
         let started = mcm_obs::Stopwatch::start();
         let mut stats = self.stats.get();
         let candidates_before = stats.shared_candidates;
         stats.rows += 1;
-        stats.models_checked += models.len() as u64;
+        stats.models_checked += models_checked as u64;
+        stats.model_groups += sets.len() as u64;
+        let mut allowed = vec![false; sets.len()];
 
+        // No read-from map means a value-infeasible outcome: forbidden
+        // everywhere, no coherence enumeration needed.
         let rf_maps = enumerate_rf_maps(exec);
-        if rf_maps.is_empty() {
-            // Value-infeasible outcome: forbidden everywhere, no grouping
-            // or coherence enumeration needed.
-            self.stats.set(stats);
-            observe_row(BatchChecker::name(self), started, 0);
-            return models.iter().map(|_| Verdict::forbidden()).collect();
-        }
-
-        let ModelGroups { groups, group_of } = group_models(exec, models);
-        stats.model_groups += groups.len() as u64;
-        let co_orders = enumerate_co_orders(exec);
-
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; groups.len()];
-        let mut undecided = groups.len();
+        let co_orders = if rf_maps.is_empty() {
+            Vec::new()
+        } else {
+            enumerate_co_orders(exec)
+        };
+        let mut undecided = sets.len();
         'candidates: for rf in &rf_maps {
             for co in &co_orders {
                 stats.shared_candidates += 1;
@@ -256,22 +321,17 @@ impl BatchChecker for BatchExplicitChecker {
                 if !base.respects_ignore_local(exec) {
                     continue;
                 }
-                for (g, (pairs, rep)) in groups.iter().enumerate() {
-                    if verdicts[g].is_some() {
+                for (g, set) in sets.iter().enumerate() {
+                    if allowed[g] {
                         continue;
                     }
                     stats.group_evals += 1;
-                    if base.acyclic_with(pairs) {
-                        // Rebuild the labeled edge set through the shared
-                        // constructor so the witness matches the per-cell
-                        // checker's exactly.
-                        let edges = required_edges(&models[*rep], exec, rf, co);
-                        verdicts[g] = Some(Verdict::allowed(Witness {
-                            rf: rf.clone(),
-                            co: co.clone(),
-                            hb_edges: edges.labeled,
-                        }));
+                    if base.acyclic_with(set.pairs) {
+                        allowed[g] = true;
                         undecided -= 1;
+                        if let Some(on_allow) = on_allow.as_mut() {
+                            on_allow(g, rf, co);
+                        }
                     }
                 }
                 if undecided == 0 {
@@ -286,10 +346,23 @@ impl BatchChecker for BatchExplicitChecker {
             started,
             stats.shared_candidates - candidates_before,
         );
-        group_of
-            .iter()
-            .map(|&g| verdicts[g].clone().unwrap_or_else(Verdict::forbidden))
-            .collect()
+        allowed
+    }
+}
+
+impl BatchChecker for BatchExplicitChecker {
+    fn name(&self) -> &'static str {
+        "batch-explicit"
+    }
+
+    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        check_row(exec, models, |sets, on_allow| {
+            self.decide(exec, models.len(), sets, Some(on_allow))
+        })
+    }
+
+    fn check_edge_sets(&self, exec: &Execution, sets: &[EdgeSet<'_>]) -> Vec<bool> {
+        self.decide(exec, sets.len(), sets, None)
     }
 
     fn batch_stats(&self) -> Option<BatchStats> {
@@ -320,29 +393,30 @@ impl BatchSatChecker {
     pub fn new() -> Self {
         BatchSatChecker::default()
     }
-}
 
-impl BatchChecker for BatchSatChecker {
-    fn name(&self) -> &'static str {
-        "batch-sat"
-    }
-
-    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+    /// The decision core: one shared encoding per test, one assumption
+    /// solve per edge set. The `(rf, co)` of a satisfying assignment is
+    /// decoded only when `on_allow` wants it.
+    fn decide(
+        &self,
+        exec: &Execution,
+        models_checked: usize,
+        sets: &[EdgeSet<'_>],
+        mut on_allow: Option<OnAllow<'_>>,
+    ) -> Vec<bool> {
         let started = mcm_obs::Stopwatch::start();
         let mut stats = self.stats.get();
         let solves_before = stats.assumption_solves;
         stats.rows += 1;
-        stats.models_checked += models.len() as u64;
+        stats.models_checked += models_checked as u64;
+        stats.model_groups += sets.len() as u64;
 
         let candidates = read_candidates(exec);
         if candidates.iter().any(|(_, sources)| sources.is_empty()) {
             self.stats.set(stats);
             observe_row(BatchChecker::name(self), started, 0);
-            return models.iter().map(|_| Verdict::forbidden()).collect();
+            return vec![false; sets.len()];
         }
-
-        let ModelGroups { groups, group_of } = group_models(exec, models);
-        stats.model_groups += groups.len() as u64;
 
         // The shared, model-free base encoding: one per test.
         let n = exec.events().len();
@@ -352,41 +426,38 @@ impl BatchChecker for BatchSatChecker {
         order.add_coherence_clauses(&mut solver, exec);
         let selectors = add_rf_selector_clauses(&mut solver, exec, &order, &candidates);
 
-        // Each group's must-not-reorder units, guarded by its activation
+        // Each set's must-not-reorder units, guarded by its activation
         // literal so they are inert unless assumed.
-        let group_lits: Vec<_> = groups
+        let guards: Vec<_> = sets
             .iter()
-            .map(|(pairs, _)| {
+            .map(|set| {
                 let guard = solver.new_var().positive();
                 let mut guarded = GuardedSink::new(&mut solver, guard);
-                for &(x, y) in pairs {
+                for &(x, y) in set.pairs {
                     guarded.emit_clause(&[order.before(x.index(), y.index())]);
                 }
                 guard
             })
             .collect();
 
-        let group_verdicts: Vec<Verdict> = groups
+        let allowed = guards
             .iter()
-            .zip(&group_lits)
-            .map(|((_, rep), &guard)| {
+            .enumerate()
+            .map(|(g, &guard)| {
                 stats.assumption_solves += 1;
                 if solver.solve_with_assumptions(&[guard]) != SatResult::Sat {
-                    return Verdict::forbidden();
+                    return false;
                 }
                 // Any satisfying assignment under this guard satisfies
-                // this model's axioms (other groups' guarded clauses are
+                // this set's axioms (other sets' guarded clauses are
                 // vacuous or redundant extra orderings), so the decoded
                 // (rf, co) witnesses the verdict.
-                let rf = extract_rf(&solver, &candidates, &selectors);
-                let co = order.extract_co(&solver, exec);
-                let edges = required_edges(&models[*rep], exec, &rf, &co);
-                debug_assert!(edges.admits_partial_order(exec));
-                Verdict::allowed(Witness {
-                    rf,
-                    co,
-                    hb_edges: edges.labeled,
-                })
+                if let Some(on_allow) = on_allow.as_mut() {
+                    let rf = extract_rf(&solver, &candidates, &selectors);
+                    let co = order.extract_co(&solver, exec);
+                    on_allow(g, &rf, &co);
+                }
+                true
             })
             .collect();
 
@@ -399,10 +470,23 @@ impl BatchChecker for BatchSatChecker {
             started,
             stats.assumption_solves - solves_before,
         );
-        group_of
-            .iter()
-            .map(|&g| group_verdicts[g].clone())
-            .collect()
+        allowed
+    }
+}
+
+impl BatchChecker for BatchSatChecker {
+    fn name(&self) -> &'static str {
+        "batch-sat"
+    }
+
+    fn check_all_executions(&self, exec: &Execution, models: &[MemoryModel]) -> Vec<Verdict> {
+        check_row(exec, models, |sets, on_allow| {
+            self.decide(exec, models.len(), sets, Some(on_allow))
+        })
+    }
+
+    fn check_edge_sets(&self, exec: &Execution, sets: &[EdgeSet<'_>]) -> Vec<bool> {
+        self.decide(exec, sets.len(), sets, None)
     }
 
     fn batch_stats(&self) -> Option<BatchStats> {
@@ -519,6 +603,46 @@ mod tests {
                 .check_all(&test, &models())
                 .iter()
                 .all(|v| !v.allowed));
+        }
+    }
+
+    #[test]
+    fn value_infeasible_rows_count_their_groups() {
+        let program = Program::builder()
+            .thread()
+            .read(Loc::X, Reg(1))
+            .read(Loc::Y, Reg(2))
+            .build()
+            .unwrap();
+        // No write ever stores 9: no read-from map exists.
+        let outcome = Outcome::new()
+            .constrain(ThreadId(0), Reg(1), Value(9))
+            .constrain(ThreadId(0), Reg(2), Value(0));
+        let test = LitmusTest::new("inf", program, outcome).unwrap();
+        let exec = test.execution();
+        let models = models();
+        for checker in [
+            Box::new(BatchExplicitChecker::new()) as Box<dyn BatchChecker>,
+            Box::new(BatchSatChecker::new()),
+        ] {
+            let _ = checker.check_all_executions(&exec, &models);
+            let stats = checker.batch_stats().expect("native batch has stats");
+            assert_eq!(stats.models_checked, 3);
+            assert_eq!(stats.model_groups, 2, "the weakest twins share a group");
+            let pairs: Vec<_> = models.iter().map(|m| forced_po_pairs(m, &exec)).collect();
+            let sets = [
+                EdgeSet {
+                    model: &models[0],
+                    pairs: &pairs[0],
+                },
+                EdgeSet {
+                    model: &models[1],
+                    pairs: &pairs[1],
+                },
+            ];
+            assert_eq!(checker.check_edge_sets(&exec, &sets), vec![false, false]);
+            let stats = checker.batch_stats().expect("native batch has stats");
+            assert_eq!((stats.models_checked, stats.model_groups), (5, 4));
         }
     }
 

@@ -59,7 +59,7 @@ pub mod sat_common;
 mod sat_full;
 mod sat_hb;
 
-pub use batch::{BatchChecker, BatchExplicitChecker, BatchSatChecker, BatchStats};
+pub use batch::{BatchChecker, BatchExplicitChecker, BatchSatChecker, BatchStats, EdgeSet};
 pub use checker::{Checker, CheckerKind, Verdict, Witness};
 pub use explicit::ExplicitChecker;
 pub use hb::EdgeKind;

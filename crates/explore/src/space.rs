@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
-use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, BatchStats, Checker};
+use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, BatchStats, Checker, EdgeSet};
 use mcm_core::{Execution, LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
@@ -54,12 +54,14 @@ pub struct EngineConfig {
     /// Tests materialized per chunk by the streaming engine — the memory
     /// high-water mark of a streamed sweep.
     pub stream_chunk: usize,
-    /// Group models that provably agree on a test before calling the
-    /// checker ([`mcm_analyze::SweepPrefilter`]): per test, models whose
-    /// truth tables coincide on the valuations its program-order pairs
-    /// realize force identical edges, so one group representative is
-    /// checked and the verdict fanned out. Sound unconditionally; the
-    /// skipped calls are counted in [`SweepStats::prefilter_saved_calls`].
+    /// Quotient the models per test before calling the checker
+    /// ([`mcm_analyze::SweepPrefilter::quotient`]): models whose truth
+    /// tables force the same program-order pairs on a test share its
+    /// verdict, so the checker decides one forced-edge set per group
+    /// ([`BatchChecker::check_edge_sets`]) and the bit fans out. Sound
+    /// unconditionally; the skipped calls are counted in
+    /// [`SweepStats::prefilter_saved_calls`]. Off, every missing model
+    /// goes through [`BatchChecker::check_all_executions`] — the oracle.
     pub prefilter: bool,
 }
 
@@ -335,11 +337,14 @@ struct GridOutcome {
 /// model at once through a [`BatchChecker`] — scheduled work-stealing
 /// across workers. Cache lookups are row-keyed ([`VerdictCache::get_row`]
 /// takes each shard lock once per row) and only the missing models of a
-/// row reach the checker; with a [`SweepPrefilter`] those are further
-/// grouped into provably-agreeing sets, so the checker sees one
-/// representative per group and the verdict fans out (and is cached once
-/// per member). Warm rows cost no checker work and cold rows amortize
-/// candidate enumeration / encoding across the whole model space.
+/// row reach the checker. Layer 3 is the test's one model quotient: with
+/// a [`SweepPrefilter`] the missing rows are grouped by the program-order
+/// pairs their formulas force, read off the prefilter's truth tables, and
+/// the checker decides each group's edge set once — no model is cloned
+/// and the checker regroups nothing. The verdict fans out to every member
+/// (and is cached once per member). Warm rows cost no checker work and
+/// cold rows amortize candidate enumeration / encoding across the whole
+/// model space.
 fn sweep_grid<F>(
     side: &ModelSide<'_>,
     execs: &[Execution],
@@ -369,14 +374,6 @@ where
     let batch = config.batch_size.max(1);
     let workers = jobs.min(reps.div_ceil(batch)).max(1);
 
-    // The distinct-formula models, cloned once per sweep so the (common)
-    // all-miss rows check against a ready-made slice.
-    let row_models: Vec<MemoryModel> = rows
-        .row_models
-        .iter()
-        .map(|&m| models[m].clone())
-        .collect();
-
     // Shared state: a claim cursor over test rows, one result cell per
     // (row, test) pair (0 = unset, 1 = forbidden, 2 = allowed), counters.
     let cursor = AtomicUsize::new(0);
@@ -394,7 +391,7 @@ where
         let mut groups_formed = 0u64;
         let mut saved = 0u64;
         let mut missing_rows: Vec<usize> = Vec::new();
-        let mut missing_models: Vec<MemoryModel> = Vec::new();
+        let mut decided: Vec<(usize, bool)> = Vec::new();
         loop {
             let start = cursor.fetch_add(batch, Ordering::Relaxed);
             if start >= reps {
@@ -423,33 +420,52 @@ where
                 if missing_rows.is_empty() {
                     continue;
                 }
-                // Layer 3: group rows whose formulas provably agree on
-                // this test; only group representatives reach the checker.
-                let groups: Vec<Vec<usize>> = match prefilter {
-                    Some(pf) if missing_rows.len() > 1 => pf.group_rows(&execs[rep], &missing_rows),
-                    _ => missing_rows.iter().map(|&r| vec![r]).collect(),
-                };
-                if prefilter.is_some() {
-                    groups_formed += groups.len() as u64;
-                    saved += (missing_rows.len() - groups.len()) as u64;
+                let exec = &execs[rep];
+                decided.clear();
+                match prefilter {
+                    // Layer 3: the test's model quotient. One edge set per
+                    // group reaches the checker; its bit fans out.
+                    Some(pf) => {
+                        let quotient = pf.quotient(exec, &missing_rows);
+                        let sets: Vec<EdgeSet<'_>> = quotient
+                            .groups
+                            .iter()
+                            .map(|(rep, pairs)| EdgeSet {
+                                model: &models[rows.row_models[*rep]],
+                                pairs,
+                            })
+                            .collect();
+                        let allowed = checker.check_edge_sets(exec, &sets);
+                        calls += sets.len() as u64;
+                        groups_formed += sets.len() as u64;
+                        saved += (missing_rows.len() - sets.len()) as u64;
+                        decided.extend(
+                            missing_rows
+                                .iter()
+                                .zip(&quotient.group_of)
+                                .map(|(&row, &g)| (row, allowed[g])),
+                        );
+                    }
+                    // The oracle path: every missing row, one model each.
+                    None => {
+                        let missing: Vec<MemoryModel> = missing_rows
+                            .iter()
+                            .map(|&row| models[rows.row_models[row]].clone())
+                            .collect();
+                        calls += missing.len() as u64;
+                        let verdicts = checker.check_all_executions(exec, &missing);
+                        decided.extend(
+                            missing_rows
+                                .iter()
+                                .zip(verdicts)
+                                .map(|(&row, verdict)| (row, verdict.allowed)),
+                        );
+                    }
                 }
-                calls += groups.len() as u64;
-                let verdicts = if groups.len() == row_count {
-                    checker.check_all_executions(&execs[rep], &row_models)
-                } else {
-                    // Partial coverage: batch only the representatives
-                    // (cloned — rare next to all-hit / all-miss).
-                    missing_models.clear();
-                    missing_models.extend(groups.iter().map(|g| row_models[g[0]].clone()));
-                    checker.check_all_executions(&execs[rep], &missing_models)
-                };
-                for (group, verdict) in groups.iter().zip(&verdicts) {
-                    for &row in group {
-                        results[row * reps + rep]
-                            .store(if verdict.allowed { 2 } else { 1 }, Ordering::Relaxed);
-                        if cache.is_some() {
-                            local_batch.push(((rows.model_fps[row], fps[rep]), verdict.allowed));
-                        }
+                for &(row, allowed) in &decided {
+                    results[row * reps + rep].store(if allowed { 2 } else { 1 }, Ordering::Relaxed);
+                    if cache.is_some() {
+                        local_batch.push(((rows.model_fps[row], fps[rep]), allowed));
                     }
                 }
             }
@@ -1231,7 +1247,9 @@ mod tests {
 
     #[test]
     fn prefilter_is_sound_and_saves_calls() {
+        use mcm_axiomatic::BatchSatChecker;
         use mcm_models::DigitModel;
+        type Make = fn() -> Box<dyn BatchChecker>;
         // M1010/M1110 agree on every test without a same-address W→R po
         // pair; plenty of the catalog qualifies.
         let models: Vec<MemoryModel> = ["M1010", "M1110", "M4044", "M4444"]
@@ -1239,23 +1257,17 @@ mod tests {
             .map(|s| s.parse::<DigitModel>().unwrap().to_model())
             .collect();
         let tests = catalog::all_tests();
-        let (on, on_stats) = Exploration::run_engine(
-            models.clone(),
-            tests.clone(),
-            || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig::default(),
-            None,
-        );
-        let (off, off_stats) = Exploration::run_engine(
-            models,
-            tests,
-            || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig {
-                prefilter: false,
+        let sweep = |models: &[MemoryModel], make: Make, on: bool, cache: Option<&VerdictCache>| {
+            let config = EngineConfig {
+                prefilter: on,
                 ..EngineConfig::default()
-            },
-            None,
-        );
+            };
+            Exploration::run_engine(models.to_vec(), tests.clone(), make, &config, cache)
+        };
+        let explicit: Make = || Box::new(BatchExplicitChecker::new());
+        let sat: Make = || Box::new(BatchSatChecker::new());
+        let (on, on_stats) = sweep(&models, explicit, true, None);
+        let (off, off_stats) = sweep(&models, explicit, false, None);
         assert_eq!(on.verdicts, off.verdicts, "the prefilter must be invisible");
         assert_eq!(off_stats.prefilter_groups, 0);
         assert_eq!(off_stats.prefilter_saved_calls, 0);
@@ -1264,6 +1276,20 @@ mod tests {
             on_stats.checker_calls + on_stats.prefilter_saved_calls,
             off_stats.checker_calls
         );
+        // Bit-identical for both batched checkers, with and without a
+        // verdict cache. The cache is pre-warmed with half the models, so
+        // the quotient also runs over partially missing rows.
+        for make in [explicit, sat] {
+            for prefilter in [true, false] {
+                let (plain, _) = sweep(&models, make, prefilter, None);
+                assert_eq!(plain.verdicts, off.verdicts);
+                let cache = VerdictCache::new();
+                let _ = sweep(&models[..2], make, prefilter, Some(&cache));
+                let (cached, stats) = sweep(&models, make, prefilter, Some(&cache));
+                assert!(stats.cache_hits > 0 && stats.checker_calls > 0);
+                assert_eq!(cached.verdicts, off.verdicts);
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,22 @@
 //! dependency template suite, which decides equivalence for the model
 //! class (Theorem 1 / Corollary 1). `elision_theorem_exhaustive` covers
 //! the *whole* finite domain of Theorem A, so the elision rule is
-//! machine-verified, not sampled.
+//! machine-verified, not sampled. The sweep prefilter's per-test model
+//! quotient is checked against the checker's own forced-pair grouping.
 
-use mcm_analyze::{elidable, minimized_dnf, AtomUniverse, StrengthAnalysis, TruthTable};
+use mcm_analyze::{
+    elidable, minimized_dnf, AtomUniverse, StrengthAnalysis, SweepPrefilter, TruthTable,
+};
+use mcm_axiomatic::hb::forced_po_pairs;
 use mcm_axiomatic::ExplicitChecker;
 use mcm_core::formula::{ArgPos, Atom, Formula};
-use mcm_core::MemoryModel;
+use mcm_core::{
+    Execution, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg, RegExpr, ThreadId, Value,
+};
 use mcm_explore::space::Exploration;
+use mcm_gen::stream::{leaders, StreamBounds};
 use mcm_models::DigitModel;
+use proptest::prelude::*;
 
 fn ninety_models() -> Vec<MemoryModel> {
     DigitModel::all().into_iter().map(|d| d.to_model()).collect()
@@ -175,4 +183,111 @@ fn non_guarded_wr_elision_is_observable() {
     ];
     let expl = Exploration::run(models, comparison_suite(), &ExplicitChecker::new());
     assert_ne!(expl.verdicts[0], expl.verdicts[1]);
+}
+
+/// Asserts that the prefilter's quotient of `rows` on `exec` is exactly
+/// the grouping by `forced_po_pairs`: same partition, groups numbered by
+/// first row, each group's pairs those of its representative.
+fn assert_quotient_is_forced_pair_grouping(
+    models: &[MemoryModel],
+    exec: &Execution,
+    rows: &[usize],
+) {
+    let refs: Vec<&MemoryModel> = models.iter().collect();
+    let prefilter = SweepPrefilter::new(&refs);
+    let quotient = prefilter.quotient(exec, rows);
+    let mut expected: Vec<Vec<_>> = Vec::new();
+    let mut expected_of = Vec::new();
+    for &row in rows {
+        let pairs = forced_po_pairs(&models[row], exec);
+        let g = expected
+            .iter()
+            .position(|p| *p == pairs)
+            .unwrap_or_else(|| {
+                expected.push(pairs);
+                expected.len() - 1
+            });
+        expected_of.push(g);
+    }
+    assert_eq!(quotient.group_of, expected_of);
+    assert_eq!(quotient.groups.len(), expected.len());
+    for (g, pairs) in expected.iter().enumerate() {
+        let (rep, quotient_pairs) = &quotient.groups[g];
+        assert_eq!(*rep, rows[expected_of.iter().position(|&e| e == g).unwrap()]);
+        assert_eq!(quotient_pairs, pairs);
+    }
+    let groups = prefilter.group_rows(exec, rows);
+    assert_eq!(groups.len(), quotient.groups.len());
+    for (members, (rep, _)) in groups.iter().zip(&quotient.groups) {
+        assert_eq!(members[0], *rep);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn quotient_equals_forced_pair_grouping(index in 0usize..100_000, pick in 0usize..1_000) {
+        let bounds = StreamBounds {
+            max_accesses_per_thread: 2,
+            threads: 2,
+            max_locs: 2,
+            include_fences: true,
+            include_deps: true,
+        };
+        let tests: Vec<LitmusTest> = leaders(&bounds).collect();
+        let exec = tests[index % tests.len()].execution();
+        let models = ninety_models();
+        // A pseudo-random row subset in a rotated order.
+        let mut rows: Vec<usize> = (0..models.len())
+            .filter(|r| (r * 7 + pick) % 5 != 0)
+            .collect();
+        let turn = pick % rows.len();
+        rows.rotate_left(turn);
+        assert_quotient_is_forced_pair_grouping(&models, &exec, &rows);
+    }
+}
+
+/// One thread of `blocks` eight-event blocks mixing reads, writes, full
+/// and special fences, a data dependency and a control dependency.
+fn long_thread(blocks: u8) -> Execution {
+    let mut builder = Program::builder().thread();
+    let mut outcome = Outcome::new();
+    for b in 0..blocks {
+        let (loaded, derived, last) = (Reg(3 * b + 1), Reg(3 * b + 2), Reg(3 * b + 3));
+        builder = builder
+            .read(Loc::X, loaded)
+            .dep_const(derived, loaded, Value(1))
+            .write_expr(Loc::Y, RegExpr::Reg(derived))
+            .fence()
+            .branch_on(loaded)
+            .write(Loc::X, Value(2))
+            .special_fence(3)
+            .read(Loc::Y, last);
+        outcome = outcome.constrain(ThreadId(0), loaded, Value(0));
+        outcome = outcome.constrain(ThreadId(0), last, Value(0));
+    }
+    let program = builder.build().expect("a valid program");
+    LitmusTest::new("long", program, outcome)
+        .expect("a valid test")
+        .execution()
+}
+
+#[test]
+fn quotient_handles_more_than_64_and_128_po_pairs() {
+    let mut models = ninety_models();
+    models.push(MemoryModel::new(
+        "special-3",
+        Formula::atom(Atom::IsSpecialFence(3, ArgPos::First)),
+    ));
+    let all: Vec<usize> = (0..models.len()).collect();
+    for (blocks, more_than) in [(2, 64), (3, 128)] {
+        let exec = long_thread(blocks);
+        let n = exec.events().len();
+        assert!(n * (n - 1) / 2 > more_than, "{n} events");
+        assert_quotient_is_forced_pair_grouping(&models, &exec, &all);
+        let mut reversed = all.clone();
+        reversed.reverse();
+        assert_quotient_is_forced_pair_grouping(&models, &exec, &reversed);
+    }
 }

@@ -7,14 +7,19 @@
 //!    (assumption-selected) backends;
 //! 2. **Witness validity** — every batched "allowed" verdict carries a
 //!    witness whose forced edges admit a partial order;
-//! 3. **Restriction** — the 90-model streamed sweep, restricted to the 36
+//! 3. **Edge-set agreement** — `BatchChecker::check_edge_sets` over the
+//!    prefilter's model quotient returns exactly the
+//!    `check_all_executions` bits, fanned out to all 90 models, for both
+//!    batched backends and the per-cell adapter;
+//! 4. **Restriction** — the 90-model streamed sweep, restricted to the 36
 //!    dependency-free models, reproduces the Figure-4 sweep exactly, row
 //!    for row.
 
+use mcm_analyze::SweepPrefilter;
 use mcm_axiomatic::{
-    BatchChecker, BatchExplicitChecker, BatchSatChecker, Checker, ExplicitChecker,
+    BatchChecker, BatchExplicitChecker, BatchSatChecker, Checker, EdgeSet, ExplicitChecker,
 };
-use mcm_core::LitmusTest;
+use mcm_core::{LitmusTest, MemoryModel};
 use mcm_explore::paper;
 use mcm_explore::{EngineConfig, Exploration};
 use mcm_gen::stream::{leaders, StreamBounds};
@@ -83,6 +88,48 @@ proptest! {
                         test.name()
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn edge_set_bits_equal_row_verdicts(index in 0usize..10_000) {
+        let tests = sampled_tests();
+        let test = &tests[index % tests.len()];
+        let exec = test.execution();
+        let models = paper::digit_space_models(true);
+        let refs: Vec<&MemoryModel> = models.iter().collect();
+        let rows: Vec<usize> = (0..models.len()).collect();
+        let quotient = SweepPrefilter::new(&refs).quotient(&exec, &rows);
+        let sets: Vec<EdgeSet<'_>> = quotient
+            .groups
+            .iter()
+            .map(|(rep, pairs)| EdgeSet {
+                model: &models[*rep],
+                pairs,
+            })
+            .collect();
+        for checker in [
+            Box::new(BatchExplicitChecker::new()) as Box<dyn BatchChecker>,
+            Box::new(BatchSatChecker::new()),
+            Box::new(ExplicitChecker::new()),
+        ] {
+            let bits = checker.check_edge_sets(&exec, &sets);
+            prop_assert_eq!(bits.len(), sets.len());
+            let row = checker.check_all_executions(&exec, &models);
+            for (m, &g) in quotient.group_of.iter().enumerate() {
+                prop_assert_eq!(
+                    bits[g],
+                    row[m].allowed,
+                    "{} edge sets disagree with its row on {} under {}",
+                    checker.name(),
+                    test.name(),
+                    models[m].name()
+                );
             }
         }
     }
