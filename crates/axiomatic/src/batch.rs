@@ -40,8 +40,9 @@
 //! cross-validation suites keep using, and what the batched paths are
 //! property-tested against.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mcm_core::{EventId, Execution, LitmusTest, MemoryModel};
 use mcm_sat::{SatResult, Solver, SolverStats};
@@ -119,13 +120,41 @@ impl BatchStats {
 /// No-op when `mcm_obs` instrumentation is disabled — the stopwatch
 /// never started, so this costs one branch.
 fn observe_row(checker: &'static str, started: mcm_obs::Stopwatch, candidates: u64) {
-    if let Some(us) = started.elapsed_us() {
-        mcm_obs::metrics::histogram("mcm_check_latency_us", &[("checker", checker)]).record(us);
+    type Series = (
+        &'static str,
+        Arc<mcm_obs::metrics::Histogram>,
+        Option<Arc<mcm_obs::metrics::Counter>>,
+    );
+    thread_local! {
+        /// This thread's handles on each checker's series. A registry
+        /// lookup takes the registry's lock and allocates the series key,
+        /// so it runs once per checker and thread, not once per row.
+        static SERIES: RefCell<Vec<Series>> = const { RefCell::new(Vec::new()) };
+    }
+    let Some(us) = started.elapsed_us() else {
+        return;
+    };
+    let labels = [("checker", checker)];
+    SERIES.with(|series| {
+        let mut series = series.borrow_mut();
+        let at = match series.iter().position(|(name, ..)| *name == checker) {
+            Some(at) => at,
+            None => {
+                let latency = mcm_obs::metrics::histogram("mcm_check_latency_us", &labels);
+                series.push((checker, latency, None));
+                series.len() - 1
+            }
+        };
+        let (_, latency, units) = &mut series[at];
+        latency.record(us);
         if candidates > 0 {
-            mcm_obs::metrics::counter("mcm_check_candidates_total", &[("checker", checker)])
+            units
+                .get_or_insert_with(|| {
+                    mcm_obs::metrics::counter("mcm_check_candidates_total", &labels)
+                })
                 .add(candidates);
         }
-    }
+    });
 }
 
 /// One pre-grouped forced-edge set: a representative model and the

@@ -4,8 +4,9 @@
 //! its counters, spans take their two atomic loads) must produce
 //! **bit-identical verdicts** to the same sweep with
 //! `mcm_obs::set_enabled(false)`, within a 3% wall-clock overhead
-//! budget (best-of-3 on both sides, so scheduler noise does not decide
-//! the verdict).
+//! budget (after one untimed warm-up sweep, best-of-3 on both sides with
+//! the on/off samples interleaved, so neither scheduler noise nor host
+//! drift decides the verdict).
 //!
 //! Asserted before the timed benches run, so CI catches an
 //! instrumentation point that drifts onto a hot path. Run with
@@ -54,27 +55,35 @@ fn verdict_bits(exploration: &Exploration) -> Vec<bool> {
         .collect()
 }
 
-/// Best-of-N wall clock of one sweep, returning the last exploration.
-fn best_of(n: usize) -> (Duration, Exploration, SweepStats) {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..n {
-        let start = Instant::now();
-        let (exploration, stats) = streamed_sweep();
-        best = best.min(start.elapsed());
-        last = Some((exploration, stats));
-    }
-    let (exploration, stats) = last.unwrap();
-    (best, exploration, stats)
+/// Wall clock of one sweep with instrumentation set to `enabled`
+/// (re-enabled afterwards, its default).
+fn timed_sweep(enabled: bool) -> (Duration, Exploration, SweepStats) {
+    mcm_obs::set_enabled(enabled);
+    let start = Instant::now();
+    let (exploration, stats) = streamed_sweep();
+    let elapsed = start.elapsed();
+    mcm_obs::set_enabled(true);
+    (elapsed, exploration, stats)
 }
 
 fn assert_obs_is_nearly_free() {
     assert!(mcm_obs::enabled(), "instrumentation starts enabled");
-    let (on_time, on_expl, on_stats) = best_of(3);
-
-    mcm_obs::set_enabled(false);
-    let (off_time, off_expl, off_stats) = best_of(3);
-    mcm_obs::set_enabled(true);
+    // One untimed warm-up sweep, then on/off samples interleaved, so host
+    // drift lands on both sides alike instead of deciding which block of
+    // three ran on the quieter machine. Best-of-3 on each side.
+    black_box(streamed_sweep());
+    let (mut on_time, mut off_time) = (Duration::MAX, Duration::MAX);
+    let (mut on, mut off) = (None, None);
+    for _ in 0..3 {
+        let (elapsed, exploration, stats) = timed_sweep(true);
+        on_time = on_time.min(elapsed);
+        on = Some((exploration, stats));
+        let (elapsed, exploration, stats) = timed_sweep(false);
+        off_time = off_time.min(elapsed);
+        off = Some((exploration, stats));
+    }
+    let (on_expl, on_stats) = on.expect("three samples ran");
+    let (off_expl, off_stats) = off.expect("three samples ran");
 
     // Identical answers first: instrumentation observes, never steers.
     assert_eq!(

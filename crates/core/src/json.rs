@@ -145,7 +145,12 @@ impl Json {
     #[must_use]
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        JsonWriter {
+            out: &mut out,
+            indent: None,
+            depth: 0,
+        }
+        .value(self);
         out
     }
 
@@ -153,43 +158,7 @@ impl Json {
     /// line, trailing newline.
     #[must_use]
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
-            Json::Float(x) if x.is_finite() => {
-                // `{:?}` for f64 is Rust's shortest round-tripping form
-                // and always contains `.` or `e`, so it re-parses as Float.
-                let _ = fmt::Write::write_fmt(out, format_args!("{x:?}"));
-            }
-            Json::Float(_) => out.push_str("null"),
-            Json::Str(s) => write_string(out, s),
-            Json::Array(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1);
-                });
-            }
-            Json::Object(pairs) => {
-                write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i| {
-                    write_string(out, &pairs[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    pairs[i].1.write(out, indent, depth + 1);
-                });
-            }
-        }
+        JsonWriter::pretty(|w| w.value(self))
     }
 
     /// Removes every object field named in `keys`, at any nesting depth.
@@ -236,39 +205,122 @@ impl Json {
     }
 }
 
-fn write_seq(
-    out: &mut String,
+/// The one JSON formatter: the comma, newline and indentation logic
+/// behind [`Json::compact`] and [`Json::pretty`], open to callers that
+/// write part of a document without building its DOM. A report whose bulk
+/// is a large boolean matrix writes that field through
+/// [`JsonWriter::bools`] and everything else through
+/// [`JsonWriter::value`]; the bytes equal the DOM's [`Json::pretty`].
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level; `None` writes the compact form.
     indent: Option<usize>,
+    /// Nesting level of the value being written.
     depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+}
+
+impl JsonWriter<'_> {
+    /// Runs `write` against a pretty writer (the layout of
+    /// [`Json::pretty`]) and returns the text, newline-terminated.
+    /// `write` must write exactly one value.
+    pub fn pretty(write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+        let mut out = String::new();
+        write(&mut JsonWriter {
+            out: &mut out,
+            indent: Some(2),
+            depth: 0,
+        });
+        out.push('\n');
+        out
     }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+
+    /// Writes one value.
+    pub fn value(&mut self, value: &Json) {
+        match value {
+            Json::Null => self.out.push_str("null"),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(n) => {
+                let _ = fmt::Write::write_fmt(self.out, format_args!("{n}"));
+            }
+            Json::Float(x) if x.is_finite() => {
+                // `{:?}` for f64 is Rust's shortest round-tripping form
+                // and always contains `.` or `e`, so it re-parses as Float.
+                let _ = fmt::Write::write_fmt(self.out, format_args!("{x:?}"));
+            }
+            Json::Float(_) => self.out.push_str("null"),
+            Json::Str(s) => write_string(self.out, s),
+            Json::Array(items) => self.array(items.len(), |w, i| w.value(&items[i])),
+            Json::Object(pairs) => self.object_with(pairs, |w, _, value| w.value(value)),
         }
-        if let Some(step) = indent {
-            out.push('\n');
-            for _ in 0..step * (depth + 1) {
-                out.push(' ');
+    }
+
+    /// Writes an array of `len` elements; `item(w, i)` writes element `i`
+    /// as exactly one value.
+    pub fn array(&mut self, len: usize, item: impl FnMut(&mut Self, usize)) {
+        self.seq('[', ']', len, item);
+    }
+
+    /// Writes an array of `len` booleans, element `i` being `bit(i)` —
+    /// a verdict row without a [`Json::Bool`] node per cell.
+    pub fn bools(&mut self, len: usize, bit: impl Fn(usize) -> bool) {
+        self.array(len, |w, i| w.bool(bit(i)));
+    }
+
+    /// Writes the object with `fields`' keys, in order; `value(w, key,
+    /// v)` writes each field's value as exactly one value — usually
+    /// `w.value(v)`, or a streamed replacement for one key.
+    pub fn object_with(
+        &mut self,
+        fields: &[(String, Json)],
+        mut value: impl FnMut(&mut Self, &str, &Json),
+    ) {
+        self.seq('{', '}', fields.len(), |w, i| {
+            let (key, v) = &fields[i];
+            write_string(w.out, key);
+            w.out.push(':');
+            if w.indent.is_some() {
+                w.out.push(' ');
+            }
+            value(w, key, v);
+        });
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn seq(&mut self, open: char, close: char, len: usize, mut item: impl FnMut(&mut Self, usize)) {
+        self.out.push(open);
+        if len == 0 {
+            self.out.push(close);
+            return;
+        }
+        self.depth += 1;
+        for i in 0..len {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.newline();
+            item(self, i);
+        }
+        self.depth -= 1;
+        self.newline();
+        self.out.push(close);
+    }
+
+    /// Line break plus indentation for the current depth (pretty only).
+    fn newline(&mut self) {
+        const SPACES: &str = "                                ";
+        if let Some(step) = self.indent {
+            self.out.push('\n');
+            let mut width = step * self.depth;
+            while width > 0 {
+                let run = width.min(SPACES.len());
+                self.out.push_str(&SPACES[..run]);
+                width -= run;
             }
         }
-        item(out, i);
     }
-    if let Some(step) = indent {
-        out.push('\n');
-        for _ in 0..step * depth {
-            out.push(' ');
-        }
-    }
-    out.push(close);
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -671,6 +723,27 @@ mod tests {
         let compact = doc.compact();
         assert_eq!(Json::parse(&compact).unwrap(), doc);
         assert!(!compact.contains('\n'));
+    }
+
+    #[test]
+    fn streamed_bools_equal_the_dom_layout() {
+        let rows: [&[bool]; 3] = [&[true, false, true], &[], &[false]];
+        let dom = Json::object([
+            ("n", Json::Int(1)),
+            (
+                "rows",
+                Json::array_of(rows, |row| Json::array_of(row, |&b| Json::Bool(b))),
+            ),
+            ("empty", Json::Array(vec![])),
+        ]);
+        let fields = dom.as_object().unwrap();
+        let streamed = JsonWriter::pretty(|w| {
+            w.object_with(fields, |w, key, value| match key {
+                "rows" => w.array(rows.len(), |w, r| w.bools(rows[r].len(), |t| rows[r][t])),
+                _ => w.value(value),
+            });
+        });
+        assert_eq!(streamed, dom.pretty());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   representative per symmetry orbit without materialising the raw
 //!   space) in fixed-size chunks, runs each chunk through the same
 //!   formula-dedup + cache + work-stealing layers, and grows the verdict
-//!   vectors incrementally. Peak memory is one chunk of tests plus the
-//!   verdict bits, never the whole space.
+//!   vectors incrementally. The next chunk is pulled on the calling
+//!   thread while the current one is checked, so peak memory is two
+//!   chunks of tests plus the verdict bits, never the whole space.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -51,8 +52,10 @@ pub struct EngineConfig {
     /// once — claimed per scheduling step. Small batches steal well when
     /// per-row cost is uneven; large batches lower contention.
     pub batch_size: usize,
-    /// Tests materialized per chunk by the streaming engine — the memory
-    /// high-water mark of a streamed sweep.
+    /// Tests materialized per chunk by the streaming engine. The engine
+    /// pulls chunk k+1 while chunk k is checked, so at most two chunks
+    /// are live at once: the memory high-water mark of a streamed sweep
+    /// is twice this many tests.
     pub stream_chunk: usize,
     /// Quotient the models per test before calling the checker
     /// ([`mcm_analyze::SweepPrefilter::quotient`]): models whose truth
@@ -113,8 +116,11 @@ pub struct SweepStats {
     /// Tests pulled from the input suite or stream (equals the input
     /// length for materialized sweeps).
     pub tests_streamed: u64,
-    /// Largest number of input tests materialized at once: one chunk for
-    /// the streaming engine, the whole deduplicated suite otherwise.
+    /// Largest batch of input tests handed to the grid at once: the
+    /// largest chunk for the streaming engine, the whole deduplicated
+    /// suite otherwise. A streamed sweep holds up to two chunks (the one
+    /// being checked and the prefetched next one), so its test memory
+    /// peaks at twice this.
     pub peak_batch: usize,
     /// Models merged into a shared verdict row *beyond* syntactic formula
     /// equality — semantically identical formulas spelled differently,
@@ -345,6 +351,9 @@ struct GridOutcome {
 /// (and is cached once per member). Warm rows cost no checker work and
 /// cold rows amortize candidate enumeration / encoding across the whole
 /// model space.
+///
+/// `prefetch` runs on the calling thread while the other workers check
+/// (see the end of the function); it need not be `Send`.
 fn sweep_grid<F>(
     side: &ModelSide<'_>,
     execs: &[Execution],
@@ -352,6 +361,7 @@ fn sweep_grid<F>(
     make_checker: &F,
     config: &EngineConfig,
     cache: Option<&VerdictCache>,
+    prefetch: impl FnOnce(),
 ) -> GridOutcome
 where
     F: Fn() -> Box<dyn BatchChecker> + Sync,
@@ -477,53 +487,55 @@ where
         prefilter_saved.fetch_add(saved, Ordering::Relaxed);
     };
 
+    // The caller is the last worker: it spawns the others, runs
+    // `prefetch` (the streaming engine pulls its next chunk there, off
+    // the critical path), then joins the work-stealing loop with its own
+    // checker. With one worker that is prefetch, then the whole sweep.
     let mut sat = SolverStats::default();
     let mut amortized = BatchStats::default();
-    if workers <= 1 {
-        let checker = make_checker();
-        let mut local = Vec::new();
-        sweep(&mut local, checker.as_ref());
+    let mut absorb = |local: Vec<((u64, u64), bool)>,
+                      solver: Option<SolverStats>,
+                      batched: Option<BatchStats>| {
         if let Some(cache) = cache {
             cache.merge(local);
         }
-        if let Some(stats) = checker.solver_stats() {
+        if let Some(stats) = solver {
             sat.absorb(stats);
         }
-        if let Some(stats) = checker.batch_stats() {
+        if let Some(stats) = batched {
             amortized.absorb(stats);
         }
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Outermost span of this worker thread: its drop
-                        // flushes the thread's trace buffer, which scoped
-                        // threads must do themselves (they are joined
-                        // before TLS destructors run).
-                        let _span = mcm_obs::trace::span("engine.grid.worker");
-                        let checker = make_checker();
-                        let mut local = Vec::new();
-                        sweep(&mut local, checker.as_ref());
-                        (local, checker.solver_stats(), checker.batch_stats())
-                    })
+    };
+    let work = || {
+        let checker = make_checker();
+        let mut local = Vec::new();
+        sweep(&mut local, checker.as_ref());
+        (local, checker.solver_stats(), checker.batch_stats())
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Outermost span of this worker thread: its drop
+                    // flushes the thread's trace buffer, which scoped
+                    // threads must do themselves (they are joined
+                    // before TLS destructors run).
+                    let _span = mcm_obs::trace::span("engine.grid.worker");
+                    work()
                 })
-                .collect();
-            for handle in handles {
-                let (local, solver, batched) =
-                    handle.join().expect("sweep workers do not panic");
-                if let Some(cache) = cache {
-                    cache.merge(local);
-                }
-                if let Some(stats) = solver {
-                    sat.absorb(stats);
-                }
-                if let Some(stats) = batched {
-                    amortized.absorb(stats);
-                }
-            }
-        });
-    }
+            })
+            .collect();
+        prefetch();
+        let (local, solver, batched) = {
+            let _span = mcm_obs::trace::span("engine.grid.worker");
+            work()
+        };
+        absorb(local, solver, batched);
+        for handle in handles {
+            let (local, solver, batched) = handle.join().expect("sweep workers do not panic");
+            absorb(local, solver, batched);
+        }
+    });
 
     let bits = results
         .into_iter()
@@ -658,6 +670,7 @@ impl Exploration {
             &make_checker,
             config,
             cache,
+            || {},
         );
 
         // Expand the deduplicated matrix back to (model, test) verdicts.
@@ -707,8 +720,11 @@ impl Exploration {
     /// [`EngineConfig::stream_chunk`] tests, runs each chunk through the
     /// shared formula-dedup + [`VerdictCache`] + work-stealing core, and
     /// grows per-model [`VerdictVector`]s incrementally. The raw space
-    /// behind the iterator is never materialized; peak memory is one
-    /// chunk plus the kept tests and their verdict bits.
+    /// behind the iterator is never materialized; peak memory is two
+    /// chunks (the one being checked and the next one, pulled on the
+    /// calling thread while the other workers check) plus the kept tests
+    /// and their verdict bits. The iterator never leaves the calling
+    /// thread, so it need not be `Send`.
     ///
     /// With [`EngineConfig::canonicalize`], each chunk is additionally
     /// collapsed to orbit representatives and representatives already seen
@@ -850,13 +866,18 @@ impl Exploration {
             stats = state.stats;
         }
 
+        // The leader phase: pulling the next chunk out of the (lazily
+        // enumerated) test stream. Chunk k+1 is pulled inside chunk k's
+        // grid, on this thread, while the other workers check — so at
+        // most two chunks are live, and the iterator never leaves the
+        // calling thread.
+        let mut pull = || -> Vec<LitmusTest> {
+            let _lead_span = mcm_obs::trace::span("engine.lead");
+            iter.by_ref().take(chunk_size).collect()
+        };
+        let mut next = pull();
         loop {
-            // The leader phase: pulling the next chunk out of the
-            // (lazily enumerated) test stream.
-            let chunk: Vec<LitmusTest> = {
-                let _lead_span = mcm_obs::trace::span("engine.lead");
-                iter.by_ref().take(chunk_size).collect()
-            };
+            let chunk = std::mem::take(&mut next);
             if chunk.is_empty() {
                 break;
             }
@@ -865,7 +886,9 @@ impl Exploration {
             stats.tests_streamed += chunk.len() as u64;
             stats.peak_batch = stats.peak_batch.max(chunk.len());
             let (batch, fps) = dedup(chunk, &mut seen);
-            if !batch.is_empty() {
+            if batch.is_empty() {
+                next = pull();
+            } else {
                 let execs: Vec<Execution> = batch.iter().map(LitmusTest::execution).collect();
                 let grid = sweep_grid(
                     &ModelSide {
@@ -878,6 +901,7 @@ impl Exploration {
                     &make_checker,
                     config,
                     cache,
+                    || next = pull(),
                 );
                 stats.cache_hits += grid.cache_hits;
                 stats.cache_hits_disk += grid.cache_hits_disk;
@@ -904,6 +928,8 @@ impl Exploration {
                     row_verdicts: row_verdicts.clone(),
                     stats,
                 };
+                // Stopping discards the prefetched chunk: the checkpoint
+                // counts processed tests only, and resume replays by count.
                 if !hook(&state) {
                     break;
                 }

@@ -8,7 +8,8 @@
 //! dedup layer only (zero checker calls for it) and continues where the
 //! dead process stopped.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
 use mcm_core::MemoryModel;
@@ -171,6 +172,101 @@ fn killed_90_model_sweep_resumes_bit_identically() {
     )
     .expect("resume from the kill point");
     assert_identical("killed+resumed 90-model sweep", &baseline, &resumed);
+}
+
+/// A leader stream that counts the tests the engine pulls from it. The
+/// counter is an `Rc`, so the iterator is not `Send`: the engine must
+/// pull it on the calling thread.
+fn counted_leaders() -> (impl Iterator<Item = mcm_core::LitmusTest>, Rc<Cell<u64>>) {
+    let pulled = Rc::new(Cell::new(0u64));
+    let counter = Rc::clone(&pulled);
+    let leaders = stream::leaders(&tiny_bounds()).inspect(move |_| counter.set(counter.get() + 1));
+    (leaders, pulled)
+}
+
+/// The engine pulls chunk k+1 while chunk k is checked — never more than
+/// one chunk ahead. A hook that stops after chunk k discards the
+/// prefetched chunk: the checkpoint counts only the processed chunks,
+/// and resuming from it is bit-identical. Neither the prefetch nor the
+/// worker count changes a verdict or a counter.
+#[test]
+fn prefetch_stays_one_chunk_ahead_and_stopping_discards_it() {
+    let models = paper::digit_space_models(false);
+    let chunk = 16usize;
+    let baseline = run_cold(models.clone(), chunk);
+    let total = baseline.1.tests_streamed;
+    assert!(
+        total > 4 * chunk as u64,
+        "the stream must span several chunks"
+    );
+
+    for jobs in [1, 2] {
+        let config = EngineConfig {
+            jobs: Some(jobs),
+            ..config(chunk)
+        };
+        for stop_after in [0u64, 2] {
+            let (leaders, pulled) = counted_leaders();
+            let last: RefCell<Option<StreamCheckpoint>> = RefCell::new(None);
+            let partial = Exploration::run_engine_streaming_with(
+                models.clone(),
+                leaders,
+                factory,
+                &config,
+                None,
+                StreamControl {
+                    on_checkpoint: Some(Box::new(|state: &StreamCheckpoint| {
+                        // The next chunk is already prefetched here, and
+                        // no further.
+                        let ahead = pulled.get() - state.tests_streamed;
+                        assert_eq!(ahead, (chunk as u64).min(total - state.tests_streamed));
+                        *last.borrow_mut() = Some(state.clone());
+                        state.tests_streamed < (stop_after + 1) * chunk as u64
+                    })),
+                    resume: None,
+                },
+            )
+            .expect("a cold run cannot fail");
+            let state = last.into_inner().expect("the hook fired");
+            let processed = (stop_after + 1) * chunk as u64;
+            assert_eq!(
+                state.tests_streamed, processed,
+                "jobs {jobs}, stop after {stop_after}"
+            );
+            assert_eq!(partial.1.tests_streamed, processed);
+            assert_eq!(
+                pulled.get(),
+                processed + chunk as u64,
+                "one prefetched chunk, dropped"
+            );
+            assert_eq!(partial.0.tests.len() as u64, state.tests_kept);
+
+            let resumed = Exploration::run_engine_streaming_with(
+                models.clone(),
+                stream::leaders(&tiny_bounds()),
+                factory,
+                &config,
+                None,
+                StreamControl {
+                    on_checkpoint: None,
+                    resume: Some(state),
+                },
+            )
+            .expect("resume from the stop point");
+            assert_identical(
+                &format!("jobs {jobs}, resumed after chunk {stop_after}"),
+                &baseline,
+                &resumed,
+            );
+        }
+
+        // Uninterrupted: the whole stream, each test pulled once.
+        let (leaders, pulled) = counted_leaders();
+        let full =
+            Exploration::run_engine_streaming(models.clone(), leaders, factory, &config, None);
+        assert_eq!(pulled.get(), total);
+        assert_identical(&format!("jobs {jobs} vs jobs 1"), &baseline, &full);
+    }
 }
 
 #[test]

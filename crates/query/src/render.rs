@@ -75,12 +75,16 @@ pub trait Render {
 
     /// The complete schema-versioned JSON document.
     fn json(&self) -> Json {
-        let mut fields = vec![
-            ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
-            ("kind".to_string(), Json::from(self.kind())),
-        ];
-        fields.extend(self.json_fields());
-        Json::Object(fields)
+        envelope(self.kind(), self.json_fields())
+    }
+
+    /// The pretty-printed JSON document, newline-terminated — what
+    /// [`Render::render`] returns for [`Format::Json`]. Reports whose
+    /// bulk needs no DOM override this to stream it through
+    /// [`mcm_core::json::JsonWriter`]; the bytes must equal
+    /// `self.json().pretty()`.
+    fn json_text(&self) -> String {
+        self.json().pretty()
     }
 
     /// CSV view, when the report has one.
@@ -106,11 +110,22 @@ pub trait Render {
         };
         match format {
             Format::Text => Ok(self.text()),
-            Format::Json => Ok(self.json().pretty()),
+            Format::Json => Ok(self.json_text()),
             Format::Csv => self.csv().ok_or_else(unsupported),
             Format::Dot => self.dot().ok_or_else(unsupported),
         }
     }
+}
+
+/// A report document: the envelope (`schema_version`, `kind`) followed
+/// by the report's own fields.
+pub(crate) fn envelope(kind: &str, fields: Vec<(String, Json)>) -> Json {
+    let mut document = vec![
+        ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
+        ("kind".to_string(), Json::from(kind)),
+    ];
+    document.extend(fields);
+    Json::Object(document)
 }
 
 /// Formats a wall-clock duration the way the CLI always has (`{:.2?}`).

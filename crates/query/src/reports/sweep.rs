@@ -4,14 +4,14 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use mcm_core::json::Json;
+use mcm_core::json::{Json, JsonWriter};
 use mcm_core::LitmusTest;
 use mcm_explore::distinguish::MinimalSet;
 use mcm_explore::dot::{render_dot, DotOptions};
 use mcm_explore::{report, Exploration, Lattice, SweepStats};
 use mcm_gen::StreamBounds;
 
-use crate::render::{duration_json, duration_text, Render};
+use crate::render::{duration_json, duration_text, envelope, Render};
 
 /// What a [`mcm_explore::VerdictCache`] ended up holding after a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -273,92 +273,14 @@ impl SweepReport {
         self.exploration.tests[t].name()
     }
 
-    /// The class members of class `c`, by model name.
-    fn class_names(&self, members: &[usize]) -> Json {
-        Json::array_of(members, |&m| {
-            Json::from(self.exploration.models[m].name())
-        })
-    }
-}
-
-/// JSON view of the engine counters, nested groups included.
-pub(crate) fn stats_json(stats: &SweepStats) -> Json {
-    let mut fields = crate::render::counter_fields(&stats.counters());
-    fields.push((
-        "batch".to_string(),
-        crate::render::counters_json(&stats.batch.counters()),
-    ));
-    fields.push((
-        "sat".to_string(),
-        crate::render::counters_json(&stats.sat.counters()),
-    ));
-    Json::Object(fields)
-}
-
-pub(crate) fn cache_json(cache: &Option<CacheSummary>) -> Json {
-    match cache {
-        None => Json::Null,
-        Some(cache) => Json::object([
-            ("entries", Json::from(cache.entries)),
-            ("hits", Json::from(cache.hits)),
-            ("hits_ram", Json::from(cache.hits_ram)),
-            ("hits_disk", Json::from(cache.hits_disk)),
-            ("misses", Json::from(cache.misses)),
-            ("shard_contention", Json::from(cache.shard_contention)),
-        ]),
-    }
-}
-
-pub(crate) fn store_json(store: &Option<StoreSummary>) -> Json {
-    match store {
-        None => Json::Null,
-        Some(store) => Json::object([
-            ("path", Json::from(store.path.as_str())),
-            ("hydrated", Json::from(store.hydrated)),
-            ("appended", Json::from(store.appended)),
-            ("flushes", Json::from(store.flushes)),
-            ("write_errors", Json::from(store.write_errors)),
-            ("bytes", Json::from(store.bytes)),
-            ("recovered_tail", Json::Bool(store.recovered_tail)),
-        ]),
-    }
-}
-
-fn checkpoint_json(checkpoint: &Option<CheckpointSummary>) -> Json {
-    match checkpoint {
-        None => Json::Null,
-        Some(ckpt) => Json::object([
-            ("path", Json::from(ckpt.path.as_str())),
-            ("saves", Json::from(ckpt.saves)),
-            ("save_errors", Json::from(ckpt.save_errors)),
-            ("resumed_at", Json::from(ckpt.resumed_at)),
-        ]),
-    }
-}
-
-pub(crate) fn tests_names_json(tests: &[LitmusTest]) -> Json {
-    Json::array_of(tests, |t| Json::from(t.name()))
-}
-
-impl Render for SweepReport {
-    fn kind(&self) -> &'static str {
-        "sweep"
-    }
-
-    fn text(&self) -> String {
-        match &self.stream {
-            Some(stream) => self.streamed_text(stream),
-            None => self.materialized_text(),
-        }
-    }
-
-    fn json_fields(&self) -> Vec<(String, Json)> {
+    /// The report's JSON fields in documented order, with `verdicts` as
+    /// the verdict-matrix field: the DOM for [`Render::json_fields`], a
+    /// `null` stand-in the streamed [`Render::json_text`] writes from the
+    /// bits instead.
+    fn fields(&self, verdicts: Json) -> Vec<(String, Json)> {
         let expl = &self.exploration;
         let models = Json::array_of(&expl.models, |m| Json::from(m.name()));
         let tests = tests_names_json(&expl.tests);
-        let verdicts = Json::array_of(&expl.verdicts, |v| {
-            Json::Array((0..v.len()).map(|t| Json::Bool(v.allowed(t))).collect())
-        });
         let classes = Json::array_of(&self.lattice.classes, |c| self.class_names(&c.members));
         let edges = Json::array_of(&self.lattice.edges, |e| {
             let label = e
@@ -448,6 +370,110 @@ impl Render for SweepReport {
         ]
     }
 
+    /// The class members of class `c`, by model name.
+    fn class_names(&self, members: &[usize]) -> Json {
+        Json::array_of(members, |&m| {
+            Json::from(self.exploration.models[m].name())
+        })
+    }
+}
+
+/// JSON view of the engine counters, nested groups included.
+pub(crate) fn stats_json(stats: &SweepStats) -> Json {
+    let mut fields = crate::render::counter_fields(&stats.counters());
+    fields.push((
+        "batch".to_string(),
+        crate::render::counters_json(&stats.batch.counters()),
+    ));
+    fields.push((
+        "sat".to_string(),
+        crate::render::counters_json(&stats.sat.counters()),
+    ));
+    Json::Object(fields)
+}
+
+pub(crate) fn cache_json(cache: &Option<CacheSummary>) -> Json {
+    match cache {
+        None => Json::Null,
+        Some(cache) => Json::object([
+            ("entries", Json::from(cache.entries)),
+            ("hits", Json::from(cache.hits)),
+            ("hits_ram", Json::from(cache.hits_ram)),
+            ("hits_disk", Json::from(cache.hits_disk)),
+            ("misses", Json::from(cache.misses)),
+            ("shard_contention", Json::from(cache.shard_contention)),
+        ]),
+    }
+}
+
+pub(crate) fn store_json(store: &Option<StoreSummary>) -> Json {
+    match store {
+        None => Json::Null,
+        Some(store) => Json::object([
+            ("path", Json::from(store.path.as_str())),
+            ("hydrated", Json::from(store.hydrated)),
+            ("appended", Json::from(store.appended)),
+            ("flushes", Json::from(store.flushes)),
+            ("write_errors", Json::from(store.write_errors)),
+            ("bytes", Json::from(store.bytes)),
+            ("recovered_tail", Json::Bool(store.recovered_tail)),
+        ]),
+    }
+}
+
+fn checkpoint_json(checkpoint: &Option<CheckpointSummary>) -> Json {
+    match checkpoint {
+        None => Json::Null,
+        Some(ckpt) => Json::object([
+            ("path", Json::from(ckpt.path.as_str())),
+            ("saves", Json::from(ckpt.saves)),
+            ("save_errors", Json::from(ckpt.save_errors)),
+            ("resumed_at", Json::from(ckpt.resumed_at)),
+        ]),
+    }
+}
+
+pub(crate) fn tests_names_json(tests: &[LitmusTest]) -> Json {
+    Json::array_of(tests, |t| Json::from(t.name()))
+}
+
+impl Render for SweepReport {
+    fn kind(&self) -> &'static str {
+        "sweep"
+    }
+
+    fn text(&self) -> String {
+        match &self.stream {
+            Some(stream) => self.streamed_text(stream),
+            None => self.materialized_text(),
+        }
+    }
+
+    fn json_fields(&self) -> Vec<(String, Json)> {
+        let verdicts = Json::array_of(&self.exploration.verdicts, |v| {
+            Json::Array((0..v.len()).map(|t| Json::Bool(v.allowed(t))).collect())
+        });
+        self.fields(verdicts)
+    }
+
+    /// The verdict matrix — nearly every byte of a large sweep's document
+    /// — goes straight from the bits to the text, without one
+    /// [`Json::Bool`] node per cell; every other field is the DOM
+    /// [`Render::json_fields`] builds.
+    fn json_text(&self) -> String {
+        let document = envelope(self.kind(), self.fields(Json::Null));
+        let fields = document.as_object().expect("the envelope is an object");
+        let verdicts = &self.exploration.verdicts;
+        JsonWriter::pretty(|w| {
+            w.object_with(fields, |w, key, value| match key {
+                "verdicts" => w.array(verdicts.len(), |w, m| {
+                    let row = &verdicts[m];
+                    w.bools(row.len(), |t| row.allowed(t));
+                }),
+                _ => w.value(value),
+            });
+        })
+    }
     fn csv(&self) -> Option<String> {
         Some(report::csv_matrix(&self.exploration))
     }

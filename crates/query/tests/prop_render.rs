@@ -1,6 +1,8 @@
 //! Property: `Render::json` output always re-parses through the in-tree
 //! JSON parser, to an equal document, for every report type — over
-//! randomly sampled model pairs, checker backends and test sources.
+//! randomly sampled model pairs, checker backends and test sources — and
+//! `render(Format::Json)` is byte for byte `json().pretty()`, including
+//! the sweep report's verdict matrix, which it writes from the bits.
 
 use mcm_core::json::Json;
 use mcm_query::{
@@ -18,6 +20,11 @@ const MODEL_POOL: [&str; 8] = [
 /// parser are mutual inverses on report output).
 fn assert_json_roundtrips(report: &dyn Render) -> Result<(), TestCaseError> {
     let rendered = report.render(Format::Json).expect("json is total");
+    prop_assert!(
+        rendered == report.json().pretty(),
+        "render(Json) differs from json().pretty() for kind {}",
+        report.kind()
+    );
     let parsed = Json::parse(&rendered)
         .map_err(|e| TestCaseError::fail(format!("json failed to re-parse: {e}\n{rendered}")))?;
     prop_assert_eq!(
@@ -126,6 +133,70 @@ proptest! {
             .run()
             .unwrap();
         assert_json_roundtrips(&report)?;
+    }
+}
+
+/// A sweep over `models` and a streamed tiny box capped at `limit`
+/// leaders, or the catalog when `limit` is `None`.
+fn sweep(models: &[&str], limit: Option<usize>) -> mcm_query::reports::SweepReport {
+    let tests = match limit {
+        None => TestSource::Catalog,
+        Some(limit) => TestSource::Stream {
+            bounds: mcm_query::StreamBounds {
+                max_accesses_per_thread: 2,
+                threads: 2,
+                max_locs: 2,
+                include_fences: false,
+                include_deps: false,
+            },
+            limit: Some(limit),
+            shard: None,
+        },
+    };
+    Query::sweep()
+        .models(ModelSpec::List(
+            models.iter().map(ToString::to_string).collect(),
+        ))
+        .tests(tests)
+        .engine(EngineConfig {
+            jobs: Some(1),
+            stream_chunk: 8,
+            ..EngineConfig::default()
+        })
+        .run()
+        .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The sweep's streamed verdict matrix is the DOM's, byte for byte:
+    /// materialized and streamed sweeps, any number of models and tests.
+    #[test]
+    fn sweep_json_text_equals_the_dom_pretty(
+        first in 0usize..8,
+        count in 1usize..4,
+        streamed in proptest::bool::ANY,
+        limit in 0usize..40,
+    ) {
+        let models: Vec<&str> = (0..count).map(|i| MODEL_POOL[(first + 3 * i) % 8]).collect();
+        let report = sweep(&models, streamed.then_some(limit));
+        prop_assert_eq!(report.render(Format::Json).unwrap(), report.json().pretty());
+    }
+}
+
+#[test]
+fn sweep_json_text_edge_cases_equal_the_dom_pretty() {
+    // A 0-test stream (every verdict row empty), a single-model stream,
+    // a single-model catalog sweep.
+    let empty = sweep(&["SC", "TSO"], Some(0));
+    assert!(empty.exploration.tests.is_empty());
+    assert!(empty
+        .render(Format::Json)
+        .unwrap()
+        .contains("\"verdicts\": [\n    [],\n    []\n  ],"));
+    for report in [empty, sweep(&["RMO"], Some(25)), sweep(&["TSO"], None)] {
+        assert_eq!(report.render(Format::Json).unwrap(), report.json().pretty());
     }
 }
 

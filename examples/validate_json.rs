@@ -3,7 +3,11 @@
 //!
 //! Usage: `cargo run --example validate_json -- FILE [FILE ...]`
 //! Exits nonzero if any file fails to parse, lacks the schema envelope,
-//! or does not survive an emit/parse round trip.
+//! or does not survive an emit/parse round trip. Report documents must
+//! also be byte-identical to the DOM's pretty rendering, which pins
+//! every streamed writer (the sweep's verdict matrix) to the one
+//! formatter; Chrome traces (`kind=trace`) are written one event per
+//! line and are exempt from that check.
 
 use litmus_mcm::core::json::Json;
 
@@ -24,6 +28,11 @@ fn validate(path: &str) -> Result<String, String> {
         .map_err(|e| format!("{path}: emitted document failed to re-parse: {e}"))?;
     if round_tripped != doc {
         return Err(format!("{path}: document changed across a round trip"));
+    }
+    if kind != "trace" && text != doc.pretty() {
+        return Err(format!(
+            "{path}: text differs from the pretty rendering of its own document"
+        ));
     }
     Ok(format!(
         "{path}: ok (kind={kind}, schema_version={version}, {} bytes)",
