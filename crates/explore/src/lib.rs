@@ -4,9 +4,11 @@
 //!
 //! * [`verdict`] — per-model verdict vectors over a suite and the
 //!   equivalent / stronger / weaker / incomparable classification;
-//! * [`space`] — the sweep engine: running a model space against a suite
-//!   sequentially, or work-stealing across cores with symmetry
-//!   canonicalization and verdict memoization;
+//! * [`space`] — running a model space against a suite: the sequential
+//!   oracle, and the sweep engine, one streaming core (symmetry
+//!   canonicalization, verdict memoization, per-test model quotient,
+//!   work-stealing across cores) that sweeps a test iterator chunk by
+//!   chunk or a materialized suite as one chunk;
 //! * [`cache`] — the fingerprint-keyed verdict cache shared across
 //!   sweeps;
 //! * [`lattice`] — equivalence classes and the transitively reduced

@@ -88,12 +88,10 @@ pub fn sweep_stats_text(stats: &SweepStats) -> String {
         stats.checker_calls,
         stats.reduction_factor(),
     );
-    if stats.semantic_merged_models > 0 || stats.prefilter_saved_calls > 0 {
+    if stats.prefilter_saved_calls > 0 {
         let _ = writeln!(
             out,
-            "sweep analysis: {} models merged semantically, {} prefilter groups \
-             saved {} checker calls",
-            stats.semantic_merged_models,
+            "sweep analysis: {} prefilter groups saved {} checker calls",
             stats.prefilter_groups,
             stats.prefilter_saved_calls,
         );
@@ -125,8 +123,8 @@ pub fn sweep_stats_text(stats: &SweepStats) -> String {
 }
 
 /// One-line summary of a streaming sweep: how much was pulled from the
-/// stream, how many orbit leaders were kept, and the memory high-water
-/// mark (the largest chunk ever materialized at once).
+/// stream, how many orbit leaders were kept, and the largest
+/// deduplicated chunk handed to the grid ([`SweepStats::peak_batch`]).
 #[must_use]
 pub fn streaming_summary(stats: &SweepStats) -> String {
     let mut line = format!(
@@ -140,11 +138,8 @@ pub fn streaming_summary(stats: &SweepStats) -> String {
         stats.checker_calls,
         stats.reduction_factor(),
     );
-    if stats.semantic_merged_models > 0 || stats.prefilter_saved_calls > 0 {
-        line.push_str(&format!(
-            "; {} models merged semantically, prefilter saved {} calls",
-            stats.semantic_merged_models, stats.prefilter_saved_calls,
-        ));
+    if stats.prefilter_saved_calls > 0 {
+        line.push_str(&format!("; prefilter saved {} calls", stats.prefilter_saved_calls));
     }
     if stats.batch.rows > 0 {
         line.push_str(&format!(
@@ -263,7 +258,6 @@ mod tests {
             distinct_models: 2,
             tests_streamed: 100,
             peak_batch: 8,
-            semantic_merged_models: 1,
             prefilter_groups: 30,
             prefilter_saved_calls: 10,
             sat: Default::default(),
@@ -279,7 +273,6 @@ mod tests {
         assert!(line.contains("50 kept"));
         assert!(line.contains("peak 8 tests in memory"));
         assert!(line.contains("60 checker calls"));
-        assert!(line.contains("1 models merged semantically"));
         assert!(line.contains("prefilter saved 10 calls"));
         assert!(line.contains("batched 50 rows into 25 model groups"));
         assert!(line.contains("4.0x row collapse"));

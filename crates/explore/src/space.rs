@@ -1,33 +1,33 @@
 //! Exploring a space of memory models over a litmus suite (§4.2).
 //!
-//! Four entry points, in increasing order of machinery:
+//! One reference and one engine:
 //!
-//! * [`Exploration::run`] — sequential, any [`Checker`], no deduplication;
-//! * [`Exploration::run_parallel`] — the explicit checker fanned out over
-//!   all cores (a thin wrapper over the engine with default settings);
-//! * [`Exploration::run_engine`] — the materialized sweep engine:
-//!   optional symmetry canonicalization (checking one representative per
-//!   orbit), optional cross-sweep verdict memoization through a
-//!   [`VerdictCache`], and a work-stealing parallel schedule. Since the
-//!   streaming engine landed this is a thin front-end: it runs the same
-//!   layers, pushes the deduplicated suite through the shared
-//!   `sweep_grid` core in one batch, and expands the verdicts back to
-//!   the input order.
-//! * [`Exploration::run_engine_streaming`] — the bounded-memory sweep:
-//!   consumes **any** test iterator (typically
-//!   `mcm_gen::stream::leaders`, which yields one canonical
-//!   representative per symmetry orbit without materialising the raw
-//!   space) in fixed-size chunks, runs each chunk through the same
-//!   formula-dedup + cache + work-stealing layers, and grows the verdict
-//!   vectors incrementally. The next chunk is pulled on the calling
-//!   thread while the current one is checked, so peak memory is two
-//!   chunks of tests plus the verdict bits, never the whole space.
+//! * [`Exploration::run`] — the sequential oracle: any per-cell
+//!   [`Checker`], every (model, test) cell checked, no engine layer;
+//! * the sweep engine — one private streaming core behind three front
+//!   ends. It pulls tests in chunks, collapses each chunk (optional
+//!   symmetry canonicalization with a cross-chunk fingerprint map, cache
+//!   fingerprints), checks the kept tests test-major against every
+//!   distinct-formula row through a [`BatchChecker`] on a work-stealing
+//!   grid, optionally memoized by a [`VerdictCache`], and grows the
+//!   verdict rows. The next chunk is pulled on the calling thread while
+//!   the current one is checked, so peak memory is two chunks of tests
+//!   plus the kept tests and their verdict bits.
+//!   - [`Exploration::run_engine_streaming`] consumes **any** test
+//!     iterator (typically `mcm_gen::stream::leaders`, which yields one
+//!     canonical representative per symmetry orbit without materialising
+//!     the raw space);
+//!   - [`Exploration::run_engine_streaming_with`] adds per-chunk
+//!     checkpoints and resume ([`StreamControl`]);
+//!   - [`Exploration::run_engine`] sweeps a materialized suite as a
+//!     single chunk and, when canonicalizing, expands the verdicts back
+//!     over the input order.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use mcm_analyze::SweepPrefilter;
-use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, BatchStats, Checker, EdgeSet};
+use mcm_axiomatic::{BatchChecker, BatchStats, Checker, EdgeSet};
 use mcm_core::{Execution, LitmusTest, MemoryModel};
 use mcm_gen::canon;
 use mcm_sat::SolverStats;
@@ -41,9 +41,9 @@ use crate::verdict::{Relation, VerdictVector};
 pub struct EngineConfig {
     /// Collapse the suite to canonical symmetry-orbit representatives
     /// before checking (verdict-preserving, see [`mcm_gen::canon`]). The
-    /// streaming engine applies this per chunk (plus a cross-chunk
-    /// fingerprint set), so feeding it an already-canonical leader stream
-    /// makes this a no-op.
+    /// engine applies this per chunk (plus a cross-chunk fingerprint
+    /// map), so feeding it an already-canonical leader stream makes this
+    /// a no-op.
     pub canonicalize: bool,
     /// Worker threads; `None` uses all available cores, `Some(1)` runs
     /// the whole sweep on the calling thread.
@@ -52,10 +52,11 @@ pub struct EngineConfig {
     /// once — claimed per scheduling step. Small batches steal well when
     /// per-row cost is uneven; large batches lower contention.
     pub batch_size: usize,
-    /// Tests materialized per chunk by the streaming engine. The engine
-    /// pulls chunk k+1 while chunk k is checked, so at most two chunks
-    /// are live at once: the memory high-water mark of a streamed sweep
-    /// is twice this many tests.
+    /// Tests materialized per chunk by the streaming front ends
+    /// ([`Exploration::run_engine`] sweeps its suite as one chunk). The
+    /// engine pulls chunk k+1 while chunk k is checked, so at most two
+    /// chunks are live at once: the memory high-water mark of a streamed
+    /// sweep is twice this many tests.
     pub stream_chunk: usize,
     /// Quotient the models per test before calling the checker
     /// ([`mcm_analyze::SweepPrefilter::quotient`]): models whose truth
@@ -116,16 +117,12 @@ pub struct SweepStats {
     /// Tests pulled from the input suite or stream (equals the input
     /// length for materialized sweeps).
     pub tests_streamed: u64,
-    /// Largest batch of input tests handed to the grid at once: the
-    /// largest chunk for the streaming engine, the whole deduplicated
-    /// suite otherwise. A streamed sweep holds up to two chunks (the one
-    /// being checked and the prefetched next one), so its test memory
-    /// peaks at twice this.
+    /// Largest deduplicated batch handed to the grid at once: the
+    /// largest chunk after canonicalization (the whole deduplicated suite
+    /// for [`Exploration::run_engine`], which sweeps one chunk). A
+    /// streamed sweep also holds the prefetched next chunk, at most
+    /// [`EngineConfig::stream_chunk`] tests, while this batch is checked.
     pub peak_batch: usize,
-    /// Models merged into a shared verdict row *beyond* syntactic formula
-    /// equality — semantically identical formulas spelled differently,
-    /// found by the analyzer's truth-table key.
-    pub semantic_merged_models: usize,
     /// Model groups the sweep prefilter formed across all checked tests
     /// (each group costs one checker call).
     pub prefilter_groups: u64,
@@ -156,7 +153,7 @@ impl SweepStats {
     /// [`SweepStats::sat`] and [`SweepStats::batch`] groups have
     /// `counters()` views of their own).
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 12] {
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
         [
             ("total_pairs", self.total_pairs),
             ("unique_pairs", self.unique_pairs),
@@ -167,7 +164,6 @@ impl SweepStats {
             ("distinct_models", self.distinct_models as u64),
             ("tests_streamed", self.tests_streamed),
             ("peak_batch", self.peak_batch as u64),
-            ("semantic_merged_models", self.semantic_merged_models as u64),
             ("prefilter_groups", self.prefilter_groups),
             ("prefilter_saved_calls", self.prefilter_saved_calls),
         ]
@@ -240,11 +236,11 @@ pub struct Exploration {
     pub verdicts: Vec<VerdictVector>,
 }
 
-/// Layer 1 of every engine sweep: models with *semantically* identical
-/// must-not-reorder formulas share a verdict row. Identity is the
-/// analyzer's truth-table key ([`mcm_analyze::SemanticKey`]), which
-/// subsumes structural equality — `Access(x)` and `Read(x) ∨ Write(x)`
-/// share a row even though the formulas differ syntactically.
+/// Layer 1 of every engine sweep: models with structurally identical
+/// must-not-reorder formulas share a verdict row (`TSO` and `x86`).
+/// Formulas that are equal only semantically keep rows of their own; the
+/// per-test quotient ([`SweepPrefilter::quotient`]) still hands each such
+/// group one checker call.
 struct FormulaRows {
     /// Model index -> row index.
     row_of: Vec<usize>,
@@ -252,29 +248,20 @@ struct FormulaRows {
     row_models: Vec<usize>,
     /// Cache fingerprints, parallel to `row_models`.
     model_fps: Vec<u64>,
-    /// Models merged beyond what syntactic formula equality finds.
-    semantic_merged: usize,
 }
 
 fn formula_rows(models: &[MemoryModel]) -> FormulaRows {
     let mut row_of: Vec<usize> = Vec::with_capacity(models.len());
     let mut row_models: Vec<usize> = Vec::new();
-    let mut keys: Vec<mcm_analyze::SemanticKey> = Vec::new();
-    let mut syntactic_rows = 0usize;
     for (m, model) in models.iter().enumerate() {
-        if !models[..m]
+        match row_models
             .iter()
-            .any(|prior| prior.formula() == model.formula())
+            .position(|&first| models[first].formula() == model.formula())
         {
-            syntactic_rows += 1;
-        }
-        let key = mcm_analyze::semantic_key(model.formula());
-        match keys.iter().position(|k| *k == key) {
-            Some(r) => row_of.push(r),
+            Some(row) => row_of.push(row),
             None => {
                 row_of.push(row_models.len());
                 row_models.push(m);
-                keys.push(key);
             }
         }
     }
@@ -283,26 +270,10 @@ fn formula_rows(models: &[MemoryModel]) -> FormulaRows {
         .map(|&m| VerdictCache::model_fingerprint(&models[m]))
         .collect();
     FormulaRows {
-        semantic_merged: syntactic_rows - row_models.len(),
         row_of,
         row_models,
         model_fps,
     }
-}
-
-/// Builds the sweep prefilter for the distinct-formula rows, when the
-/// config asks for one and there is anything to group.
-fn build_prefilter(
-    models: &[MemoryModel],
-    rows: &FormulaRows,
-    config: &EngineConfig,
-) -> Option<SweepPrefilter> {
-    if !config.prefilter || rows.row_models.len() < 2 {
-        return None;
-    }
-    let _span = mcm_obs::trace::span("engine.prefilter");
-    let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
-    Some(SweepPrefilter::new(&refs))
 }
 
 fn resolve_jobs(config: &EngineConfig) -> usize {
@@ -325,7 +296,7 @@ struct ModelSide<'a> {
 }
 
 /// What one `sweep_grid` call produced: the row-major allowed bits plus
-/// the layer counters the engines fold into [`SweepStats`].
+/// the layer counters the core folds into [`SweepStats`].
 struct GridOutcome {
     /// `bits[row * execs.len() + rep]`: is the outcome allowed?
     bits: Vec<bool>,
@@ -488,31 +459,16 @@ where
     };
 
     // The caller is the last worker: it spawns the others, runs
-    // `prefetch` (the streaming engine pulls its next chunk there, off
+    // `prefetch` (the core pulls its next chunk there, off
     // the critical path), then joins the work-stealing loop with its own
     // checker. With one worker that is prefetch, then the whole sweep.
-    let mut sat = SolverStats::default();
-    let mut amortized = BatchStats::default();
-    let mut absorb = |local: Vec<((u64, u64), bool)>,
-                      solver: Option<SolverStats>,
-                      batched: Option<BatchStats>| {
-        if let Some(cache) = cache {
-            cache.merge(local);
-        }
-        if let Some(stats) = solver {
-            sat.absorb(stats);
-        }
-        if let Some(stats) = batched {
-            amortized.absorb(stats);
-        }
-    };
     let work = || {
         let checker = make_checker();
         let mut local = Vec::new();
         sweep(&mut local, checker.as_ref());
         (local, checker.solver_stats(), checker.batch_stats())
     };
-    std::thread::scope(|scope| {
+    let done: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..workers)
             .map(|_| {
                 scope.spawn(|| {
@@ -526,16 +482,30 @@ where
             })
             .collect();
         prefetch();
-        let (local, solver, batched) = {
+        let mut done = vec![{
             let _span = mcm_obs::trace::span("engine.grid.worker");
             work()
-        };
-        absorb(local, solver, batched);
-        for handle in handles {
-            let (local, solver, batched) = handle.join().expect("sweep workers do not panic");
-            absorb(local, solver, batched);
-        }
+        }];
+        done.extend(handles.into_iter().map(|h| h.join().expect("sweep workers do not panic")));
+        done
     });
+    // Verdicts reach the cache only once every worker is done, so no
+    // worker reads another's fresh entries: a test repeated within one
+    // grid misses the cache whatever the job count, and the counters do
+    // not depend on scheduling.
+    let mut sat = SolverStats::default();
+    let mut amortized = BatchStats::default();
+    for (local, solver, batched) in done {
+        if let Some(cache) = cache {
+            cache.merge(local);
+        }
+        if let Some(stats) = solver {
+            sat.absorb(stats);
+        }
+        if let Some(stats) = batched {
+            amortized.absorb(stats);
+        }
+    }
 
     let bits = results
         .into_iter()
@@ -553,8 +523,223 @@ where
     }
 }
 
+/// The one sweep core behind every engine front end.
+///
+/// Pulls `tests` in chunks of [`EngineConfig::stream_chunk`], collapses
+/// each chunk through the dedup layer, checks the kept tests on the
+/// work-stealing grid (`sweep_grid`), and grows the verdict rows and the
+/// [`SweepStats`] chunk by chunk; `control` adds checkpoints and resume.
+/// With `answered_by`, the dedup layer also records, for every pulled
+/// test, the index of the kept test whose verdicts answer it.
+fn sweep_stream<I, F>(
+    models: Vec<MemoryModel>,
+    tests: I,
+    make_checker: &F,
+    config: &EngineConfig,
+    cache: Option<&VerdictCache>,
+    mut control: StreamControl<'_>,
+    mut answered_by: Option<&mut Vec<usize>>,
+) -> Result<(Exploration, SweepStats), ResumeError>
+where
+    I: IntoIterator<Item = LitmusTest>,
+    F: Fn() -> Box<dyn BatchChecker> + Sync,
+{
+    let _span = mcm_obs::trace::span("engine.stream");
+    let rows = formula_rows(&models);
+    // The per-test quotient needs at least two rows to group.
+    let prefilter = (config.prefilter && rows.row_models.len() >= 2).then(|| {
+        let _span = mcm_obs::trace::span("engine.prefilter");
+        let refs: Vec<&MemoryModel> = rows.row_models.iter().map(|&m| &models[m]).collect();
+        SweepPrefilter::new(&refs)
+    });
+    let jobs = resolve_jobs(config);
+    let chunk_size = config.stream_chunk.max(1);
+    let mut iter = tests.into_iter();
+    let mut kept: Vec<LitmusTest> = Vec::new();
+    let mut row_verdicts: Vec<VerdictVector> =
+        (0..rows.row_models.len()).map(|_| VerdictVector::new(0)).collect();
+    // Orbit fingerprint -> index of the kept test representing it.
+    let mut seen: HashMap<u64, usize> = HashMap::new();
+    let mut stats = SweepStats {
+        distinct_models: rows.row_models.len(),
+        ..SweepStats::default()
+    };
+
+    // The dedup layer: collapses a pulled chunk to the tests that will
+    // actually be checked, plus their cache fingerprints. Used
+    // identically by the live loop and the resume replay, so a replayed
+    // prefix keeps exactly the tests the original run kept.
+    let dedup = |chunk: Vec<LitmusTest>,
+                 kept_before: usize,
+                 seen: &mut HashMap<u64, usize>,
+                 answered_by: Option<&mut Vec<usize>>|
+     -> (Vec<LitmusTest>, Vec<u64>) {
+        if config.canonicalize {
+            let _canon_span = mcm_obs::trace::span("engine.canon");
+            let canonical = canon::dedup_parallel(&chunk, jobs);
+            let mut batch = Vec::with_capacity(canonical.tests.len());
+            let mut fps = Vec::with_capacity(canonical.tests.len());
+            let mut kept_index = Vec::with_capacity(canonical.tests.len());
+            for (test, fp) in canonical.tests.into_iter().zip(canonical.fingerprints) {
+                let index = *seen.entry(fp).or_insert_with(|| {
+                    batch.push(test);
+                    fps.push(fp);
+                    kept_before + batch.len() - 1
+                });
+                kept_index.push(index);
+            }
+            if let Some(answered_by) = answered_by {
+                answered_by.extend(canonical.class_of.iter().map(|&c| kept_index[c]));
+            }
+            (batch, fps)
+        } else {
+            if let Some(answered_by) = answered_by {
+                answered_by.extend(kept_before..kept_before + chunk.len());
+            }
+            let fps = if cache.is_some() {
+                chunk.iter().map(canon::fingerprint).collect()
+            } else {
+                vec![0u64; chunk.len()]
+            };
+            (chunk, fps)
+        }
+    };
+
+    if let Some(state) = control.resume.take() {
+        if state.model_fps != rows.model_fps {
+            return Err(ResumeError(
+                "checkpoint was taken over a different model list".to_string(),
+            ));
+        }
+        if state.row_verdicts.len() != rows.model_fps.len()
+            || state
+                .row_verdicts
+                .iter()
+                .any(|v| v.len() as u64 != state.tests_kept)
+        {
+            return Err(ResumeError(
+                "checkpoint verdict rows are inconsistent".to_string(),
+            ));
+        }
+        // Replay the consumed prefix: pull the same chunks and re-run
+        // only the dedup layer to rebuild the kept tests and the
+        // cross-chunk fingerprint map — no checker work.
+        let _replay_span = mcm_obs::trace::span("engine.replay");
+        let mut replayed = 0u64;
+        while replayed < state.tests_streamed {
+            let want = chunk_size.min((state.tests_streamed - replayed) as usize);
+            let chunk: Vec<LitmusTest> = iter.by_ref().take(want).collect();
+            if chunk.is_empty() {
+                return Err(ResumeError(
+                    "stream is shorter than the checkpoint cursor".to_string(),
+                ));
+            }
+            replayed += chunk.len() as u64;
+            let (batch, _) = dedup(chunk, kept.len(), &mut seen, answered_by.as_deref_mut());
+            kept.extend(batch);
+        }
+        if kept.len() as u64 != state.tests_kept {
+            return Err(ResumeError(
+                "replayed stream prefix kept a different test count".to_string(),
+            ));
+        }
+        row_verdicts = state.row_verdicts;
+        stats = state.stats;
+    }
+
+    // The leader phase: pulling the next chunk out of the (lazily
+    // enumerated) test stream. Chunk k+1 is pulled inside chunk k's
+    // grid, on this thread, while the other workers check — so at most
+    // two chunks are live, and the iterator never leaves the calling
+    // thread.
+    let mut pull = || -> Vec<LitmusTest> {
+        let _lead_span = mcm_obs::trace::span("engine.lead");
+        iter.by_ref().take(chunk_size).collect()
+    };
+    let mut next = pull();
+    loop {
+        let chunk = std::mem::take(&mut next);
+        if chunk.is_empty() {
+            break;
+        }
+        let _chunk_span =
+            mcm_obs::trace::span_with("engine.chunk", &[("tests", &chunk.len().to_string())]);
+        stats.tests_streamed += chunk.len() as u64;
+        let (batch, fps) = dedup(chunk, kept.len(), &mut seen, answered_by.as_deref_mut());
+        stats.peak_batch = stats.peak_batch.max(batch.len());
+        if batch.is_empty() {
+            next = pull();
+        } else {
+            let execs: Vec<Execution> = batch.iter().map(LitmusTest::execution).collect();
+            let grid = sweep_grid(
+                &ModelSide {
+                    models: &models,
+                    rows: &rows,
+                    prefilter: prefilter.as_ref(),
+                },
+                &execs,
+                &fps,
+                make_checker,
+                config,
+                cache,
+                || next = pull(),
+            );
+            stats.cache_hits += grid.cache_hits;
+            stats.cache_hits_disk += grid.cache_hits_disk;
+            stats.checker_calls += grid.checker_calls;
+            stats.prefilter_groups += grid.prefilter_groups;
+            stats.prefilter_saved_calls += grid.prefilter_saved_calls;
+            stats.sat.absorb(grid.sat);
+            stats.batch.absorb(grid.batch);
+            for (r, vector) in row_verdicts.iter_mut().enumerate() {
+                for t in 0..batch.len() {
+                    vector.push(grid.bits[r * batch.len() + t]);
+                }
+            }
+            // The first batch becomes `kept` as is: a one-chunk sweep
+            // copies no test buffer.
+            if kept.is_empty() {
+                kept = batch;
+            } else {
+                kept.extend(batch);
+            }
+        }
+        stats.total_pairs = models.len() as u64 * stats.tests_streamed;
+        stats.unique_pairs = (rows.row_models.len() * kept.len()) as u64;
+        stats.canonical_tests = kept.len();
+        if let Some(hook) = control.on_checkpoint.as_mut() {
+            let state = StreamCheckpoint {
+                tests_streamed: stats.tests_streamed,
+                tests_kept: kept.len() as u64,
+                model_fps: rows.model_fps.clone(),
+                row_verdicts: row_verdicts.clone(),
+                stats,
+            };
+            // Stopping discards the prefetched chunk: the checkpoint
+            // counts processed tests only, and resume replays by count.
+            if !hook(&state) {
+                break;
+            }
+        }
+    }
+    let verdicts: Vec<VerdictVector> = rows
+        .row_of
+        .iter()
+        .map(|&row| row_verdicts[row].clone())
+        .collect();
+    Ok((
+        Exploration {
+            models,
+            tests: kept,
+            verdicts,
+        },
+        stats,
+    ))
+}
+
 impl Exploration {
-    /// Runs the exploration sequentially with the given checker.
+    /// Runs the exploration sequentially with the given checker: the
+    /// reference oracle the engine front ends are tested against.
     #[must_use]
     pub fn run(models: Vec<MemoryModel>, tests: Vec<LitmusTest>, checker: &dyn Checker) -> Self {
         let executions: Vec<Execution> = tests.iter().map(LitmusTest::execution).collect();
@@ -569,23 +754,9 @@ impl Exploration {
         }
     }
 
-    /// Runs the exploration with the batched explicit checker fanned out
-    /// over all available cores, one test row at a time.
-    #[must_use]
-    pub fn run_parallel(models: Vec<MemoryModel>, tests: Vec<LitmusTest>) -> Self {
-        Exploration::run_engine(
-            models,
-            tests,
-            || Box::new(BatchExplicitChecker::new()),
-            &EngineConfig::default(),
-            None,
-        )
-        .0
-    }
-
     /// The materialized sweep engine, test-major: the unit of parallel
-    /// work is a **canonical test row**, checked against every
-    /// distinct-formula model in one [`BatchChecker`] call.
+    /// work is a **test row**, checked against every distinct-formula
+    /// model in one [`BatchChecker`] call.
     ///
     /// 1. models with structurally identical must-not-reorder formulas are
     ///    checked once (`TSO` and `x86` share a row);
@@ -600,13 +771,14 @@ impl Exploration {
     /// not be `Sync` (the SAT checkers carry per-instance solver state).
     /// Any per-cell [`Checker`] coerces through its blanket
     /// [`BatchChecker`] adapter; pass a natively batched checker
-    /// ([`BatchExplicitChecker`], [`mcm_axiomatic::BatchSatChecker`]) to
-    /// amortize candidate enumeration / encoding across each row.
+    /// ([`mcm_axiomatic::BatchExplicitChecker`],
+    /// [`mcm_axiomatic::BatchSatChecker`]) to amortize candidate
+    /// enumeration / encoding across each row.
     ///
-    /// This is the materialized front-end of the streaming core: the
-    /// deduplicated suite goes through the same `sweep_grid` the
-    /// streaming engine chunks over, and the verdict matrix is expanded
-    /// back over the input suite at the end.
+    /// This is the streaming core fed the whole suite as one chunk
+    /// ([`EngineConfig::stream_chunk`] is ignored). The returned `tests`
+    /// are the input suite; when canonicalizing, each test's verdicts are
+    /// its orbit representative's.
     #[must_use]
     pub fn run_engine<F>(
         models: Vec<MemoryModel>,
@@ -619,92 +791,40 @@ impl Exploration {
         F: Fn() -> Box<dyn BatchChecker> + Sync,
     {
         let _span = mcm_obs::trace::span_with("engine.run", &[("tests", &tests.len().to_string())]);
-        let rows = formula_rows(&models);
-        let jobs = resolve_jobs(config);
-
-        // Layer 2: symmetry canonicalization (or per-test fingerprints
-        // when only the cache needs keys), fanned over the same worker
-        // budget as the sweep — each test canonicalizes independently.
-        let (rep_execs, rep_fps, rep_of): (Vec<Execution>, Vec<u64>, Vec<usize>) =
-            if config.canonicalize || cache.is_some() {
-                let _canon_span = mcm_obs::trace::span("engine.canon");
-                let canonical = canon::dedup_parallel(&tests, jobs);
-                if config.canonicalize {
-                    (
-                        canonical.tests.iter().map(LitmusTest::execution).collect(),
-                        canonical.fingerprints,
-                        canonical.class_of,
-                    )
-                } else {
-                    // Cache keys only: keep every test as its own work
-                    // item but key it by its orbit fingerprint.
-                    let fps = canonical
-                        .class_of
-                        .iter()
-                        .map(|&c| canonical.fingerprints[c])
-                        .collect();
-                    (
-                        tests.iter().map(LitmusTest::execution).collect(),
-                        fps,
-                        (0..tests.len()).collect(),
-                    )
-                }
-            } else {
-                (
-                    tests.iter().map(LitmusTest::execution).collect(),
-                    vec![0; tests.len()],
-                    (0..tests.len()).collect(),
-                )
-            };
-
-        let reps = rep_execs.len();
-        let prefilter = build_prefilter(&models, &rows, config);
-        let grid = sweep_grid(
-            &ModelSide {
-                models: &models,
-                rows: &rows,
-                prefilter: prefilter.as_ref(),
-            },
-            &rep_execs,
-            &rep_fps,
+        let one_chunk = EngineConfig {
+            stream_chunk: tests.len().max(1),
+            ..config.clone()
+        };
+        // Without canonicalization the kept tests are the input suite.
+        let input = config.canonicalize.then(|| tests.clone());
+        let mut answered_by = Vec::new();
+        let (kept, stats) = sweep_stream(
+            models,
+            tests,
             &make_checker,
-            config,
+            &one_chunk,
             cache,
-            || {},
-        );
-
-        // Expand the deduplicated matrix back to (model, test) verdicts.
-        let verdicts: Vec<VerdictVector> = rows
-            .row_of
+            StreamControl::default(),
+            input.is_some().then_some(&mut answered_by),
+        )
+        .expect("a cold sweep cannot fail to resume");
+        let Some(tests) = input else {
+            return (kept, stats);
+        };
+        let verdicts = kept
+            .verdicts
             .iter()
-            .map(|&row| {
+            .map(|row| {
                 let mut vector = VerdictVector::new(tests.len());
-                for (t, &rep) in rep_of.iter().enumerate() {
-                    vector.set(t, grid.bits[row * reps + rep]);
+                for (t, &k) in answered_by.iter().enumerate() {
+                    vector.set(t, row.allowed(k));
                 }
                 vector
             })
             .collect();
-
-        let stats = SweepStats {
-            total_pairs: (models.len() * tests.len()) as u64,
-            unique_pairs: (rows.row_models.len() * reps) as u64,
-            cache_hits: grid.cache_hits,
-            cache_hits_disk: grid.cache_hits_disk,
-            checker_calls: grid.checker_calls,
-            canonical_tests: reps,
-            distinct_models: rows.row_models.len(),
-            tests_streamed: tests.len() as u64,
-            peak_batch: reps,
-            semantic_merged_models: rows.semantic_merged,
-            prefilter_groups: grid.prefilter_groups,
-            prefilter_saved_calls: grid.prefilter_saved_calls,
-            sat: grid.sat,
-            batch: grid.batch,
-        };
         (
             Exploration {
-                models,
+                models: kept.models,
                 tests,
                 verdicts,
             },
@@ -728,7 +848,7 @@ impl Exploration {
     ///
     /// With [`EngineConfig::canonicalize`], each chunk is additionally
     /// collapsed to orbit representatives and representatives already seen
-    /// in *earlier* chunks are dropped (a cross-chunk fingerprint set), so
+    /// in *earlier* chunks are dropped (a cross-chunk fingerprint map), so
     /// non-canonical streams are deduplicated on the fly. Duplicates are
     /// dropped from the returned [`Exploration`], whose `tests` are the
     /// kept representatives in stream order.
@@ -774,180 +894,13 @@ impl Exploration {
         make_checker: F,
         config: &EngineConfig,
         cache: Option<&VerdictCache>,
-        mut control: StreamControl<'_>,
+        control: StreamControl<'_>,
     ) -> Result<(Self, SweepStats), ResumeError>
     where
         I: IntoIterator<Item = LitmusTest>,
         F: Fn() -> Box<dyn BatchChecker> + Sync,
     {
-        let _span = mcm_obs::trace::span("engine.stream");
-        let rows = formula_rows(&models);
-        let prefilter = build_prefilter(&models, &rows, config);
-        let jobs = resolve_jobs(config);
-        let chunk_size = config.stream_chunk.max(1);
-        let mut iter = tests.into_iter();
-        let mut kept: Vec<LitmusTest> = Vec::new();
-        let mut row_verdicts: Vec<VerdictVector> =
-            (0..rows.row_models.len()).map(|_| VerdictVector::new(0)).collect();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut stats = SweepStats {
-            distinct_models: rows.row_models.len(),
-            semantic_merged_models: rows.semantic_merged,
-            ..SweepStats::default()
-        };
-
-        // The shared dedup layer: collapses a pulled chunk to the tests
-        // that will actually be checked, plus their cache fingerprints.
-        // Used identically by the live loop and the resume replay, so a
-        // replayed prefix keeps exactly the tests the original run kept.
-        let dedup = |chunk: Vec<LitmusTest>,
-                     seen: &mut HashSet<u64>|
-         -> (Vec<LitmusTest>, Vec<u64>) {
-            if config.canonicalize {
-                let _canon_span = mcm_obs::trace::span("engine.canon");
-                let canonical = canon::dedup_parallel(&chunk, jobs);
-                let mut batch = Vec::with_capacity(canonical.tests.len());
-                let mut fps = Vec::with_capacity(canonical.tests.len());
-                for (test, fp) in canonical.tests.into_iter().zip(canonical.fingerprints) {
-                    if seen.insert(fp) {
-                        batch.push(test);
-                        fps.push(fp);
-                    }
-                }
-                (batch, fps)
-            } else if cache.is_some() {
-                let fps = chunk.iter().map(canon::fingerprint).collect();
-                (chunk, fps)
-            } else {
-                let fps = vec![0u64; chunk.len()];
-                (chunk, fps)
-            }
-        };
-
-        if let Some(state) = control.resume.take() {
-            if state.model_fps != rows.model_fps {
-                return Err(ResumeError(
-                    "checkpoint was taken over a different model list".to_string(),
-                ));
-            }
-            if state.row_verdicts.len() != rows.model_fps.len()
-                || state
-                    .row_verdicts
-                    .iter()
-                    .any(|v| v.len() as u64 != state.tests_kept)
-            {
-                return Err(ResumeError(
-                    "checkpoint verdict rows are inconsistent".to_string(),
-                ));
-            }
-            // Replay the consumed prefix: pull the same chunks and re-run
-            // only the dedup layer to rebuild the kept tests and the
-            // cross-chunk fingerprint set — no checker work.
-            let _replay_span = mcm_obs::trace::span("engine.replay");
-            let mut replayed = 0u64;
-            while replayed < state.tests_streamed {
-                let want = chunk_size.min((state.tests_streamed - replayed) as usize);
-                let chunk: Vec<LitmusTest> = iter.by_ref().take(want).collect();
-                if chunk.is_empty() {
-                    return Err(ResumeError(
-                        "stream is shorter than the checkpoint cursor".to_string(),
-                    ));
-                }
-                replayed += chunk.len() as u64;
-                let (batch, _) = dedup(chunk, &mut seen);
-                kept.extend(batch);
-            }
-            if kept.len() as u64 != state.tests_kept {
-                return Err(ResumeError(
-                    "replayed stream prefix kept a different test count".to_string(),
-                ));
-            }
-            row_verdicts = state.row_verdicts;
-            stats = state.stats;
-        }
-
-        // The leader phase: pulling the next chunk out of the (lazily
-        // enumerated) test stream. Chunk k+1 is pulled inside chunk k's
-        // grid, on this thread, while the other workers check — so at
-        // most two chunks are live, and the iterator never leaves the
-        // calling thread.
-        let mut pull = || -> Vec<LitmusTest> {
-            let _lead_span = mcm_obs::trace::span("engine.lead");
-            iter.by_ref().take(chunk_size).collect()
-        };
-        let mut next = pull();
-        loop {
-            let chunk = std::mem::take(&mut next);
-            if chunk.is_empty() {
-                break;
-            }
-            let _chunk_span =
-                mcm_obs::trace::span_with("engine.chunk", &[("tests", &chunk.len().to_string())]);
-            stats.tests_streamed += chunk.len() as u64;
-            stats.peak_batch = stats.peak_batch.max(chunk.len());
-            let (batch, fps) = dedup(chunk, &mut seen);
-            if batch.is_empty() {
-                next = pull();
-            } else {
-                let execs: Vec<Execution> = batch.iter().map(LitmusTest::execution).collect();
-                let grid = sweep_grid(
-                    &ModelSide {
-                        models: &models,
-                        rows: &rows,
-                        prefilter: prefilter.as_ref(),
-                    },
-                    &execs,
-                    &fps,
-                    &make_checker,
-                    config,
-                    cache,
-                    || next = pull(),
-                );
-                stats.cache_hits += grid.cache_hits;
-                stats.cache_hits_disk += grid.cache_hits_disk;
-                stats.checker_calls += grid.checker_calls;
-                stats.prefilter_groups += grid.prefilter_groups;
-                stats.prefilter_saved_calls += grid.prefilter_saved_calls;
-                stats.sat.absorb(grid.sat);
-                stats.batch.absorb(grid.batch);
-                for (r, vector) in row_verdicts.iter_mut().enumerate() {
-                    for t in 0..batch.len() {
-                        vector.push(grid.bits[r * batch.len() + t]);
-                    }
-                }
-                kept.extend(batch);
-            }
-            stats.total_pairs = models.len() as u64 * stats.tests_streamed;
-            stats.unique_pairs = (rows.row_models.len() * kept.len()) as u64;
-            stats.canonical_tests = kept.len();
-            if let Some(hook) = control.on_checkpoint.as_mut() {
-                let state = StreamCheckpoint {
-                    tests_streamed: stats.tests_streamed,
-                    tests_kept: kept.len() as u64,
-                    model_fps: rows.model_fps.clone(),
-                    row_verdicts: row_verdicts.clone(),
-                    stats,
-                };
-                // Stopping discards the prefetched chunk: the checkpoint
-                // counts processed tests only, and resume replays by count.
-                if !hook(&state) {
-                    break;
-                }
-            }
-        }
-        let verdicts: Vec<VerdictVector> = rows
-            .row_of
-            .iter()
-            .map(|&row| row_verdicts[row].clone())
-            .collect();
-        Ok((
-            Exploration {
-                models,
-                tests: kept,
-                verdicts,
-            },
-            stats,
-        ))
+        sweep_stream(models, tests, &make_checker, config, cache, control, None)
     }
 
     /// Number of models.
@@ -1022,7 +975,7 @@ fn verdict_vector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_axiomatic::ExplicitChecker;
+    use mcm_axiomatic::{BatchExplicitChecker, ExplicitChecker};
     use mcm_models::catalog;
     use mcm_models::named;
 
@@ -1052,19 +1005,6 @@ mod tests {
             assert!(expl.verdicts[1].allowed(t));
             assert!(!expl.verdicts[0].allowed(t));
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let models = vec![named::sc(), named::tso(), named::pso(), named::rmo()];
-        let tests = catalog::all_tests();
-        let seq = Exploration::run(
-            models.clone(),
-            tests.clone(),
-            &ExplicitChecker::new(),
-        );
-        let par = Exploration::run_parallel(models, tests);
-        assert_eq!(seq.verdicts, par.verdicts);
     }
 
     #[test]
@@ -1316,32 +1256,6 @@ mod tests {
                 assert_eq!(cached.verdicts, off.verdicts);
             }
         }
-    }
-
-    #[test]
-    fn semantically_equal_formulas_share_a_row() {
-        use mcm_core::formula::{ArgPos, Atom, Formula};
-        // Access(x) spelled two ways: syntactically different, one row.
-        let spelled_out = Formula::or([
-            Formula::atom(Atom::IsRead(ArgPos::First)),
-            Formula::atom(Atom::IsWrite(ArgPos::First)),
-        ]);
-        let models = vec![
-            MemoryModel::new("direct", Formula::atom(Atom::IsAccess(ArgPos::First))),
-            MemoryModel::new("spelled", spelled_out),
-        ];
-        let tests = vec![catalog::l1(), catalog::test_a()];
-        let seq = Exploration::run(models.clone(), tests.clone(), &ExplicitChecker::new());
-        let (engine, stats) = Exploration::run_engine(
-            models,
-            tests,
-            || Box::new(ExplicitChecker::new()),
-            &EngineConfig::default(),
-            None,
-        );
-        assert_eq!(seq.verdicts, engine.verdicts);
-        assert_eq!(stats.distinct_models, 1);
-        assert_eq!(stats.semantic_merged_models, 1);
     }
 
     #[test]

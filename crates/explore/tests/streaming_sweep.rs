@@ -1,5 +1,7 @@
 //! The streaming sweep must be indistinguishable from the materialized
-//! path: same verdict per (model, orbit), same lattice.
+//! path: same verdict per (model, orbit), same lattice. `run_engine` is
+//! the streaming core fed one chunk, so its verdicts equal the sequential
+//! oracle's and its counters equal a one-chunk stream's.
 //!
 //! The CI streaming-smoke job runs this file on tiny bounds; the
 //! `streaming_sweep` bench re-asserts the same identity on larger bounds
@@ -7,11 +9,12 @@
 
 use std::collections::HashMap;
 
-use mcm_axiomatic::{BatchChecker, BatchExplicitChecker};
-use mcm_core::MemoryModel;
-use mcm_explore::{paper, EngineConfig, Exploration};
+use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, ExplicitChecker};
+use mcm_core::{LitmusTest, MemoryModel};
+use mcm_explore::{paper, EngineConfig, Exploration, VerdictCache};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::{canon, naive};
+use mcm_models::{catalog, named, DigitModel};
 use proptest::prelude::*;
 
 fn factory() -> Box<dyn BatchChecker> {
@@ -144,6 +147,103 @@ fn chunk_size_does_not_change_the_outcome() {
     assert_eq!(a.verdicts, b.verdicts);
     assert_eq!(a.verdicts, c.verdicts);
     assert_eq!(a.tests.len(), b.tests.len());
+}
+
+/// Suites with exact duplicates and symmetric variants: the catalog
+/// twice over, and a sample of the comparison suite (its catalog tests
+/// are symmetric variants of template instances) plus a repeated head.
+fn fold_suites() -> Vec<Vec<LitmusTest>> {
+    let catalog = catalog::all_tests();
+    let comparison = paper::comparison_tests(true);
+    let sampled: Vec<LitmusTest> = comparison
+        .iter()
+        .step_by(3)
+        .chain(&comparison[..12])
+        .chain(&catalog)
+        .cloned()
+        .collect();
+    vec![catalog.iter().chain(&catalog).cloned().collect(), sampled]
+}
+
+#[test]
+fn run_engine_is_the_streaming_core_over_one_chunk() {
+    let models = vec![named::sc(), named::tso(), named::x86(), named::pso(), named::alpha()];
+    for suite in fold_suites() {
+        let oracle = Exploration::run(models.clone(), suite.clone(), &ExplicitChecker::new());
+        for canonicalize in [false, true] {
+            for cache in [false, true] {
+                for prefilter in [false, true] {
+                    for jobs in [1, 2] {
+                        let config = EngineConfig {
+                            canonicalize,
+                            prefilter,
+                            jobs: Some(jobs),
+                            // Ignored by run_engine, which sweeps one chunk.
+                            stream_chunk: 3,
+                            ..EngineConfig::default()
+                        };
+                        let label = format!("{config:?} cache={cache}");
+                        let engine_cache = VerdictCache::new();
+                        let (engine, engine_stats) = Exploration::run_engine(
+                            models.clone(),
+                            suite.clone(),
+                            factory,
+                            &config,
+                            cache.then_some(&engine_cache),
+                        );
+                        assert_eq!(engine.verdicts, oracle.verdicts, "{label}");
+                        assert_eq!(engine.tests, suite, "{label}");
+                        let stream_cache = VerdictCache::new();
+                        let (streamed, stream_stats) = Exploration::run_engine_streaming(
+                            models.clone(),
+                            suite.clone(),
+                            factory,
+                            &EngineConfig {
+                                stream_chunk: suite.len(),
+                                ..config.clone()
+                            },
+                            cache.then_some(&stream_cache),
+                        );
+                        assert_eq!(engine_stats, stream_stats, "{label}");
+                        assert_eq!(engine_stats.tests_streamed, suite.len() as u64);
+                        assert_eq!(engine_stats.peak_batch, engine_stats.canonical_tests);
+                        assert_eq!(streamed.tests.len(), engine_stats.canonical_tests);
+                        if canonicalize {
+                            assert!(streamed.tests.len() < suite.len(), "{label}");
+                        } else {
+                            assert_eq!(streamed.tests, suite, "{label}");
+                            assert_eq!(streamed.verdicts, oracle.verdicts, "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn semantically_equal_formulas_keep_two_rows_and_cost_one_call() {
+    let tests = paper::comparison_tests(true);
+    let sweep = |models: Vec<MemoryModel>| {
+        Exploration::run_engine(models, tests.clone(), factory, &EngineConfig::default(), None)
+    };
+    let pairs = [
+        ("M1010", named::rmo_without_dependencies()),
+        ("M1030", named::alpha()),
+    ];
+    for (digits, spelled) in pairs {
+        let digit = digits.parse::<DigitModel>().unwrap().to_model();
+        assert_ne!(digit.formula(), spelled.formula(), "{digits} is spelled differently");
+        let (pair, pair_stats) = sweep(vec![digit.clone(), spelled]);
+        let (alone, alone_stats) = sweep(vec![digit]);
+        assert_eq!(pair_stats.distinct_models, 2, "{digits}");
+        assert_eq!(pair.verdicts[0], pair.verdicts[1], "{digits}");
+        assert_eq!(pair.verdicts[0], alone.verdicts[0], "{digits}");
+        // The per-test quotient gives the two rows one checker call per
+        // test.
+        assert_eq!(pair_stats.checker_calls, alone_stats.checker_calls, "{digits}");
+        assert_eq!(pair_stats.prefilter_saved_calls, tests.len() as u64, "{digits}");
+    }
 }
 
 proptest! {

@@ -277,9 +277,10 @@ impl SweepQuery {
     ///
     /// # Errors
     ///
-    /// [`QueryError::InvalidSpec`] for unresolvable models;
-    /// [`QueryError::Io`] / [`QueryError::Parse`] for file-backed test
-    /// sources.
+    /// [`QueryError::InvalidSpec`] for unresolvable models, and for a
+    /// resume checkpoint that is unreadable, of another version, or taken
+    /// over a different sweep; [`QueryError::Io`] / [`QueryError::Parse`]
+    /// for file-backed test sources.
     pub fn run(self) -> Result<SweepReport, QueryError> {
         let models = self.models.resolve()?;
         // A disk-backed store supplies the cache when requested; it
@@ -317,9 +318,15 @@ impl SweepQuery {
             let resume_state = match &self.resume {
                 None => None,
                 Some(path) => {
-                    let loaded = CheckpointFile::load(path).map_err(|e| QueryError::Io {
-                        path: path.display().to_string(),
-                        message: e.to_string(),
+                    // A checkpoint this build cannot read (damaged, or of
+                    // another version) is a rejected resume, never a cold
+                    // start.
+                    let loaded = CheckpointFile::load(path).map_err(|e| {
+                        if e.kind() == std::io::ErrorKind::InvalidData {
+                            QueryError::InvalidSpec(e.to_string())
+                        } else {
+                            QueryError::io(path.display().to_string(), &e)
+                        }
                     })?;
                     match loaded {
                         // Cold start: the checkpoint was never written
@@ -1012,5 +1019,41 @@ fn figures_report(selection: FigureSelection) -> FiguresReport {
         fig3,
         counts,
         fig4,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcm_gen::StreamBounds;
+
+    #[test]
+    fn resuming_an_old_checkpoint_version_is_rejected_not_a_cold_start() {
+        let path = std::env::temp_dir().join(format!("mcm-v1-{}.ckpt", std::process::id()));
+        let sweep = || {
+            Query::sweep()
+                .models(ModelSpec::parse("SC,TSO"))
+                .tests(TestSource::Stream {
+                    bounds: StreamBounds {
+                        max_accesses_per_thread: 2,
+                        max_locs: 2,
+                        ..StreamBounds::default()
+                    },
+                    limit: None,
+                    shard: None,
+                })
+        };
+        sweep().checkpoint(&path).run().expect("cold sweep");
+        // Rewrite the header as version 1; the payload stays intact.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = sweep().resume(&path).run().unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        let QueryError::InvalidSpec(message) = err else {
+            panic!("expected InvalidSpec, got {err:?}");
+        };
+        assert!(message.contains("version 1"), "{message}");
+        assert!(message.contains("re-run the sweep"), "{message}");
     }
 }

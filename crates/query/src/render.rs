@@ -7,7 +7,7 @@ use crate::error::QueryError;
 /// Version stamp carried by every JSON document the query layer emits.
 /// Bump when a report's field set changes incompatibly; the golden-file
 /// tests pin the schema at the current version.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// An output format for a report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -34,22 +34,13 @@ pub const KINDS: [&str; 10] = [
     "figures",
 ];
 
-/// Engine counter names, index-aligned with [`SweepStats::counters`]
-/// (checked by a test, so drift fails loudly).
-const ENGINE_COUNTERS: [&str; 12] = [
-    "total_pairs",
-    "unique_pairs",
-    "cache_hits",
-    "cache_hits_disk",
-    "checker_calls",
-    "canonical_tests",
-    "distinct_models",
-    "tests_streamed",
-    "peak_batch",
-    "semantic_merged_models",
-    "prefilter_groups",
-    "prefilter_saved_calls",
-];
+/// One engine total per [`SweepStats::counters`] entry; the names are
+/// read from `SweepStats::default().counters()` wherever they render.
+const ENGINE_TOTALS: usize = counter_count(SweepStats::counters);
+
+const fn counter_count<const N: usize>(_: fn(&SweepStats) -> [(&'static str, u64); N]) -> usize {
+    N
+}
 
 /// The service-wide counter set. One instance lives for the whole
 /// server; every worker and the acceptor share it.
@@ -63,7 +54,7 @@ pub struct ServeStats {
     hangups: AtomicU64,
     in_flight: AtomicI64,
     kinds: [AtomicU64; KINDS.len()],
-    engine: [AtomicU64; ENGINE_COUNTERS.len()],
+    engine: [AtomicU64; ENGINE_TOTALS],
 }
 
 impl ServeStats {
@@ -179,7 +170,7 @@ impl ServeStats {
     ) -> Json {
         let load = |counter: &AtomicU64| Json::Int(counter.load(Ordering::Relaxed) as i64);
         Json::object([
-            ("schema_version", Json::Int(2)),
+            ("schema_version", Json::Int(3)),
             ("kind", Json::from("serve_stats")),
             (
                 "requests",
@@ -210,10 +201,11 @@ impl ServeStats {
             (
                 "engine",
                 Json::Object(
-                    ENGINE_COUNTERS
+                    SweepStats::default()
+                        .counters()
                         .iter()
                         .zip(&self.engine)
-                        .map(|(name, counter)| ((*name).to_string(), load(counter)))
+                        .map(|((name, _), counter)| ((*name).to_string(), load(counter)))
                         .collect(),
                 ),
             ),
@@ -277,7 +269,7 @@ impl ServeStats {
             let _ = writeln!(out, "# TYPE mcm_serve_{gauge} gauge");
             let _ = writeln!(out, "mcm_serve_{gauge} {value}");
         }
-        for (name, counter) in ENGINE_COUNTERS.iter().zip(&self.engine) {
+        for ((name, _), counter) in SweepStats::default().counters().iter().zip(&self.engine) {
             let _ = writeln!(out, "# TYPE mcm_engine_{name}_total counter");
             let _ = writeln!(
                 out,
@@ -308,16 +300,6 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_counter_names_stay_aligned_with_sweep_stats() {
-        let names: Vec<&str> = SweepStats::default()
-            .counters()
-            .iter()
-            .map(|(name, _)| *name)
-            .collect();
-        assert_eq!(names, ENGINE_COUNTERS);
-    }
 
     #[test]
     fn snapshot_reflects_recorded_events() {
@@ -410,7 +392,7 @@ mod tests {
                 "missing serve counter {name} in /metricsz"
             );
         }
-        for name in ENGINE_COUNTERS {
+        for (name, _) in SweepStats::default().counters() {
             assert!(
                 text.contains(&format!("mcm_engine_{name}_total ")),
                 "missing engine counter {name} in /metricsz"

@@ -24,8 +24,8 @@ use crate::bytes::{fnv1a, put_bool, put_u32, put_u64, put_u8, Reader};
 
 /// First 8 bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"MCMCKPT\0";
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+/// Checkpoint format version: the only one this build reads.
+pub const VERSION: u32 = 2;
 
 /// The identity of the sweep a checkpoint was taken from. Everything
 /// that shapes the deterministic test stream (and therefore the meaning
@@ -96,7 +96,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Option<SweepStats> {
         distinct_models: usize::try_from(r.u64()?).ok()?,
         tests_streamed: r.u64()?,
         peak_batch: usize::try_from(r.u64()?).ok()?,
-        semantic_merged_models: usize::try_from(r.u64()?).ok()?,
         prefilter_groups: r.u64()?,
         prefilter_saved_calls: r.u64()?,
         ..SweepStats::default()
@@ -254,7 +253,7 @@ impl CheckpointFile {
     /// Loads the checkpoint at `path`. A missing file is `Ok(None)` —
     /// the cold-start case for `--resume` pointing at a checkpoint that
     /// was never written. Anything present but unreadable (foreign file,
-    /// newer version, failed checksum, inconsistent structure) is a hard
+    /// any other version, failed checksum, inconsistent structure) is a hard
     /// [`io::ErrorKind::InvalidData`] error: a damaged checkpoint must
     /// not silently degrade to a cold start.
     pub fn load(path: &Path) -> io::Result<Option<CheckpointFile>> {
@@ -273,9 +272,10 @@ impl CheckpointFile {
             )));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 header bytes"));
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(invalid(format!(
-                "{} has checkpoint version {version}, this build reads <= {VERSION}",
+                "{} has checkpoint version {version}, this build reads only version \
+                 {VERSION}; re-run the sweep without --resume",
                 path.display()
             )));
         }
@@ -317,7 +317,6 @@ mod tests {
             distinct_models: 5,
             tests_streamed: 130,
             peak_batch: 64,
-            semantic_merged_models: 1,
             prefilter_groups: 20,
             prefilter_saved_calls: 11,
             ..SweepStats::default()
@@ -404,6 +403,25 @@ mod tests {
             CheckpointFile::load(&path).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn other_versions_are_rejected_with_a_rerun_hint() {
+        let path = temp_path("version");
+        sample().save(&path).unwrap();
+        let current = std::fs::read(&path).unwrap();
+        for version in [1, VERSION + 1] {
+            // The header is outside the checksum: only the version differs.
+            let mut bytes = current.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = CheckpointFile::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(message.contains(&format!("version {version}")), "{message}");
+            assert!(message.contains("re-run the sweep"), "{message}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }
