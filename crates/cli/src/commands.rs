@@ -348,11 +348,18 @@ fn stream_bounds(args: &[String]) -> Result<StreamBounds, CliError> {
             .ok_or_else(|| usage(format!("--max-accesses needs 1..=4, got `{n}`")))?;
     }
     if let Some(n) = option_value(args, "--max-locs") {
+        // No leader uses more locations than it has accesses.
+        let most = bounds.threads * bounds.max_accesses_per_thread;
         bounds.max_locs = n
             .parse::<u8>()
             .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| usage(format!("--max-locs needs 1..=255, got `{n}`")))?;
+            .filter(|&n| n >= 1 && usize::from(n) <= most)
+            .ok_or_else(|| {
+                usage(format!(
+                    "--max-locs needs 1..={most} ({} threads x {} accesses), got `{n}`",
+                    bounds.threads, bounds.max_accesses_per_thread
+                ))
+            })?;
     }
     bounds.include_fences = flag(args, "--fences");
     bounds.include_deps = flag(args, "--deps");

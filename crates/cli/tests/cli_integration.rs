@@ -415,6 +415,20 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn stream_max_locs_past_the_access_count_is_a_usage_error() {
+    // Two threads of at most 3 accesses use at most 6 locations; a larger
+    // bound would only multiply the shapes walked before the first leader.
+    let args = [
+        "explore", "--models", "SC,TSO", "--stream", "--max-accesses", "3", "--max-locs", "255",
+        "--limit", "10",
+    ];
+    assert_eq!(mcm_code(&args), 2);
+    let (_, _, stderr) = mcm(&args);
+    assert!(stderr.contains("--max-locs needs 1..=6"), "{stderr}");
+    assert_eq!(mcm_code(&["explore", "--stream", "--max-accesses", "2", "--max-locs", "5"]), 2);
+}
+
+#[test]
 fn run_failures_exit_1() {
     // A well-formed request on an unreadable file is a run failure.
     assert_eq!(mcm_code(&["check", "TSO", "/no/such/file.litmus"]), 1);

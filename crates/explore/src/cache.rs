@@ -540,4 +540,14 @@ mod tests {
             VerdictCache::model_fingerprint(&c)
         );
     }
+
+    #[test]
+    fn model_fingerprints_are_pinned() {
+        // The model half of every persisted verdict key: a formula-hash
+        // change or a drift of the standard hasher fails here rather than
+        // silently orphaning every stored verdict.
+        let key = VerdictCache::model_fingerprint;
+        assert_eq!(key(&mcm_models::named::sc()), 0xc8d9_2d1f_e77b_6f16);
+        assert_eq!(key(&mcm_models::named::tso()), 0x044a_b8e5_a9be_a3a6);
+    }
 }

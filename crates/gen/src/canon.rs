@@ -697,7 +697,7 @@ pub(crate) fn apply_renaming(
 /// permutation contest that the programs alone settle.
 pub(crate) fn encode(program: &Program, outcome: &Outcome) -> Vec<u8> {
     let mut out = encode_program(program);
-    out.push(0xFF); // outcome separator
+    out.push(OUTCOME);
     for &(t, r, v) in outcome.constraints() {
         out.push(t.0);
         out.push(r.0);
@@ -706,79 +706,135 @@ pub(crate) fn encode(program: &Program, outcome: &Outcome) -> Vec<u8> {
     out
 }
 
+// The encoding's tags. They are defined here only: [`encode_program`] and
+// the streamed shape classifier ([`crate::stream`]) both write program
+// bytes through the `push_*` primitives below.
+const THREAD: u8 = 0xFE;
+const OUTCOME: u8 = 0xFF;
+const READ: u8 = 0x10;
+const WRITE: u8 = 0x11;
+const FENCE_FULL: u8 = 0x12;
+const FENCE_SPECIAL: u8 = 0x13;
+const OP: u8 = 0x14;
+const BRANCH: u8 = 0x15;
+const ADDR_LOC: u8 = 0x01;
+const ADDR_REG: u8 = 0x02;
+const EXPR_CONST: u8 = 0x01;
+const EXPR_REG: u8 = 0x02;
+const EXPR_LOC_ADDR: u8 = 0x03;
+const EXPR_ADD: u8 = 0x04;
+const EXPR_SUB: u8 = 0x05;
+
 fn push_i64(out: &mut Vec<u8>, v: i64) {
     // Order-preserving encoding (offset binary, big endian) so byte
     // comparison matches numeric comparison.
     out.extend_from_slice(&(v as u64 ^ (1 << 63)).to_be_bytes());
 }
 
+/// Opens the next thread of a program encoding.
+pub(crate) fn push_thread(out: &mut Vec<u8>) {
+    out.push(THREAD);
+}
+
+/// A read of `addr` into `dst`.
+pub(crate) fn push_read(out: &mut Vec<u8>, addr: &AddrExpr, dst: Reg) {
+    out.push(READ);
+    push_addr(out, addr);
+    out.push(dst.0);
+}
+
+/// A write to `addr`; the stored expression's bytes follow it.
+pub(crate) fn push_write(out: &mut Vec<u8>, addr: &AddrExpr) {
+    out.push(WRITE);
+    push_addr(out, addr);
+}
+
+/// A fence of `kind`.
+pub(crate) fn push_fence(out: &mut Vec<u8>, kind: FenceKind) {
+    match kind {
+        FenceKind::Full => out.push(FENCE_FULL),
+        FenceKind::Special(n) => {
+            out.push(FENCE_SPECIAL);
+            out.push(n);
+        }
+    }
+}
+
+/// The constant expression `v`.
+pub(crate) fn push_const(out: &mut Vec<u8>, v: Value) {
+    out.push(EXPR_CONST);
+    push_i64(out, v.0);
+}
+
+/// The dependency idiom `reg - reg + value`: the bytes [`push_expr`]
+/// writes for [`RegExpr::dep_const`], without building the expression.
+pub(crate) fn push_dep_const(out: &mut Vec<u8>, reg: Reg, value: Value) {
+    out.push(EXPR_ADD);
+    out.push(EXPR_SUB);
+    push_reg(out, reg);
+    push_reg(out, reg);
+    push_const(out, value);
+}
+
+fn push_reg(out: &mut Vec<u8>, reg: Reg) {
+    out.push(EXPR_REG);
+    out.push(reg.0);
+}
+
+fn push_expr(out: &mut Vec<u8>, expr: &RegExpr) {
+    match expr {
+        RegExpr::Const(v) => push_const(out, *v),
+        RegExpr::Reg(r) => push_reg(out, *r),
+        RegExpr::LocAddr(l) => {
+            out.push(EXPR_LOC_ADDR);
+            out.push(l.0);
+        }
+        RegExpr::Add(a, b) => {
+            out.push(EXPR_ADD);
+            push_expr(out, a);
+            push_expr(out, b);
+        }
+        RegExpr::Sub(a, b) => {
+            out.push(EXPR_SUB);
+            push_expr(out, a);
+            push_expr(out, b);
+        }
+    }
+}
+
+fn push_addr(out: &mut Vec<u8>, addr: &AddrExpr) {
+    match addr {
+        AddrExpr::Loc(l) => {
+            out.push(ADDR_LOC);
+            out.push(l.0);
+        }
+        AddrExpr::Reg(r) => {
+            out.push(ADDR_REG);
+            out.push(r.0);
+        }
+    }
+}
+
 /// The program prefix of [`encode`].
 pub(crate) fn encode_program(program: &Program) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    fn push_expr(out: &mut Vec<u8>, expr: &RegExpr) {
-        match expr {
-            RegExpr::Const(v) => {
-                out.push(0x01);
-                push_i64(out, v.0);
-            }
-            RegExpr::Reg(r) => {
-                out.push(0x02);
-                out.push(r.0);
-            }
-            RegExpr::LocAddr(l) => {
-                out.push(0x03);
-                out.push(l.0);
-            }
-            RegExpr::Add(a, b) => {
-                out.push(0x04);
-                push_expr(out, a);
-                push_expr(out, b);
-            }
-            RegExpr::Sub(a, b) => {
-                out.push(0x05);
-                push_expr(out, a);
-                push_expr(out, b);
-            }
-        }
-    }
-    fn push_addr(out: &mut Vec<u8>, addr: &AddrExpr) {
-        match addr {
-            AddrExpr::Loc(l) => {
-                out.push(0x01);
-                out.push(l.0);
-            }
-            AddrExpr::Reg(r) => {
-                out.push(0x02);
-                out.push(r.0);
-            }
-        }
-    }
     for thread in &program.threads {
-        out.push(0xFE); // thread separator
+        push_thread(&mut out);
         for instr in &thread.instructions {
             match instr {
-                Instruction::Read { addr, dst } => {
-                    out.push(0x10);
-                    push_addr(&mut out, addr);
-                    out.push(dst.0);
-                }
+                Instruction::Read { addr, dst } => push_read(&mut out, addr, *dst),
                 Instruction::Write { addr, val } => {
-                    out.push(0x11);
-                    push_addr(&mut out, addr);
+                    push_write(&mut out, addr);
                     push_expr(&mut out, val);
                 }
-                Instruction::Fence(FenceKind::Full) => out.push(0x12),
-                Instruction::Fence(FenceKind::Special(n)) => {
-                    out.push(0x13);
-                    out.push(*n);
-                }
+                Instruction::Fence(kind) => push_fence(&mut out, *kind),
                 Instruction::Op { dst, expr } => {
-                    out.push(0x14);
+                    out.push(OP);
                     out.push(dst.0);
                     push_expr(&mut out, expr);
                 }
                 Instruction::Branch { cond } => {
-                    out.push(0x15);
+                    out.push(BRANCH);
                     push_expr(&mut out, cond);
                 }
             }
@@ -947,5 +1003,40 @@ mod tests {
         // The written value is renamed to the first value id.
         let rendered = canonical.program().to_string();
         assert!(rendered.contains("= 1"), "{rendered}");
+    }
+
+    #[test]
+    fn dep_const_bytes_match_the_expression_encoding() {
+        let mut direct = Vec::new();
+        push_dep_const(&mut direct, Reg(2), Value(3));
+        let mut via_expr = Vec::new();
+        push_expr(&mut via_expr, &RegExpr::dep_const(Reg(2), Value(3)));
+        assert_eq!(direct, via_expr);
+    }
+
+    // Golden pins of today's keys: the program encoding and the orbit
+    // fingerprints the verdict store persists. A change to the encoding
+    // primitives, or a drift of the standard hasher, fails here rather
+    // than silently orphaning every stored verdict.
+
+    #[test]
+    fn sb_program_bytes_are_pinned() {
+        let sb = mcm_models::catalog::sb();
+        let value_one = [0x80, 0, 0, 0, 0, 0, 0, 0x01];
+        let mut expected = vec![0xFE, 0x11, 0x01, 0x00, 0x01];
+        expected.extend(value_one);
+        expected.extend([0x10, 0x01, 0x01, 0x01]);
+        expected.extend([0xFE, 0x11, 0x01, 0x01, 0x01]);
+        expected.extend(value_one);
+        expected.extend([0x10, 0x01, 0x00, 0x02]);
+        assert_eq!(encode_program(sb.program()), expected);
+    }
+
+    #[test]
+    fn catalog_fingerprints_are_pinned() {
+        use mcm_models::catalog;
+        assert_eq!(fingerprint(&catalog::sb()), 0x779f_02b4_fba5_e045);
+        assert_eq!(fingerprint(&catalog::mp()), 0x53ea_8175_caae_1c36);
+        assert_eq!(fingerprint(&catalog::iriw_fenced()), 0x96ba_c573_7575_3b48);
     }
 }

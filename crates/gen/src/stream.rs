@@ -29,17 +29,27 @@
 //! whole program *shapes* are classified before any outcome is
 //! materialised (the program bytes form the prefix of the canonical
 //! encoding, so permutation contests that the programs settle transfer to
-//! every outcome):
+//! every outcome). The classifier writes each thread permutation's
+//! program bytes straight from the shape's access descriptors, through
+//! the encoding primitives [`canon`] owns, without building a program,
+//! a test or a renaming:
 //!
-//! * shapes whose locations are not in global first-use order can contain
-//!   no leader and are skipped without materialising anything;
+//! * shapes whose locations are not in global first-use order, or that
+//!   another thread permutation strictly beats on program bytes, can
+//!   contain no leader and are skipped without materialising anything;
 //! * shapes whose identity-permutation encoding strictly beats every
 //!   other thread permutation emit **all** their outcomes with no
 //!   per-test canonicalization at all;
 //! * only shapes with a permutation tie (symmetric programs) fall back to
 //!   a per-candidate [`canon::is_leader`] check.
+//!
+//! A shard ([`leaders_sharded`]) steps past an all-leader shape in one
+//! arithmetic step when none of its global leader indices is its own,
+//! and inside a shape it keeps it builds only the tests it yields.
 
-use mcm_core::{LitmusTest, Loc, Outcome, Program, Reg, RegExpr, ThreadId, Value};
+use mcm_core::{
+    AddrExpr, FenceKind, LitmusTest, Loc, Outcome, Program, Reg, RegExpr, ThreadId, Value,
+};
 
 use crate::canon;
 use crate::naive::NaiveBounds;
@@ -141,6 +151,13 @@ impl Shard {
     pub fn keeps(&self, leader_index: u64) -> bool {
         leader_index % u64::from(self.count) == u64::from(self.index)
     }
+
+    /// Whether any of the `len` consecutive leader indices starting at
+    /// `first` belongs to the shard.
+    fn keeps_any(&self, first: u64, len: u64) -> bool {
+        let count = u64::from(self.count);
+        (u64::from(self.index) + count - first % count) % count < len
+    }
 }
 
 impl std::fmt::Display for Shard {
@@ -176,6 +193,29 @@ struct Access {
 
 type ThreadShape = Vec<Access>;
 
+/// One shape combination: thread `t` runs `shapes[digits[t]]`. A view
+/// over the odometer, so walking combinations allocates nothing.
+#[derive(Clone, Copy)]
+struct Combo<'a> {
+    shapes: &'a [ThreadShape],
+    digits: &'a [usize],
+}
+
+impl<'a> Combo<'a> {
+    fn thread(self, t: usize) -> &'a [Access] {
+        &self.shapes[self.digits[t]]
+    }
+
+    /// The threads' accesses, in thread order.
+    fn threads(self) -> impl Iterator<Item = &'a [Access]> {
+        self.digits.iter().map(move |&i| self.shapes[i].as_slice())
+    }
+
+    fn accesses(self) -> impl Iterator<Item = &'a Access> {
+        self.threads().flatten()
+    }
+}
+
 /// Advances a mixed-radix odometer with `radix` possibilities per digit;
 /// `false` when it wraps past the last combination.
 fn advance_odometer(combo: &mut [usize], radix: usize) -> bool {
@@ -195,21 +235,17 @@ fn advance_odometer(combo: &mut [usize], radix: usize) -> bool {
 
 /// Number of outcome candidates of a shape combination: each read may
 /// expect the initial value or any write to its location.
-fn outcome_product(shape: &[&ThreadShape]) -> u64 {
-    let mut writes = [0u64; 256];
-    for thread in shape {
-        for access in thread.iter() {
-            if access.is_write {
-                writes[access.loc as usize] += 1;
-            }
+fn outcome_product(combo: Combo) -> u64 {
+    let mut writes = [0u16; 256];
+    for thread in combo.threads() {
+        for access in thread.iter().filter(|a| a.is_write) {
+            writes[usize::from(access.loc)] += 1;
         }
     }
     let mut product = 1u64;
-    for thread in shape {
-        for access in thread.iter() {
-            if !access.is_write {
-                product *= writes[access.loc as usize] + 1;
-            }
+    for thread in combo.threads() {
+        for access in thread.iter().filter(|a| !a.is_write) {
+            product *= u64::from(writes[usize::from(access.loc)]) + 1;
         }
     }
     product
@@ -270,17 +306,15 @@ fn thread_shapes(bounds: &StreamBounds) -> Vec<ThreadShape> {
 /// canonical renaming always produces this, so any shape violating it
 /// contains no orbit leader. (Thread order is *not* pruned here: which
 /// thread permutation wins depends on the full renamed encoding, which
-/// [`classify`] decides exactly.)
-fn locs_first_use_ordered(shape: &[&ThreadShape]) -> bool {
+/// [`Classifier::classify`] decides exactly.)
+fn locs_first_use_ordered(combo: Combo) -> bool {
     let mut next = 0u8;
-    for thread in shape {
-        for access in thread.iter() {
-            if access.loc > next {
-                return false;
-            }
-            if access.loc == next {
-                next += 1;
-            }
+    for access in combo.accesses() {
+        if access.loc > next {
+            return false;
+        }
+        if access.loc == next {
+            next += 1;
         }
     }
     true
@@ -292,10 +326,101 @@ enum ShapeMode {
     /// The identity permutation strictly wins on program bytes alone:
     /// every outcome of this shape is a leader.
     AllLeaders,
-    /// Some permutation ties (or the materialization convention failed to
-    /// reproduce the identity renaming): each candidate is checked with
-    /// [`canon::is_leader`] individually.
+    /// Another permutation ties with the identity on program bytes
+    /// (symmetric threads): the outcome bytes decide, so each candidate
+    /// is checked with [`canon::is_leader`] individually.
     CheckEach,
+}
+
+/// Decides [`ShapeMode`]s from program-bytes keys computed straight from
+/// the shape descriptors, reusing its buffers across shapes.
+struct Classifier {
+    identity: Vec<usize>,
+    /// Every other thread permutation (new index -> old index).
+    others: Vec<Vec<usize>>,
+    identity_key: Vec<u8>,
+    other_key: Vec<u8>,
+}
+
+impl Classifier {
+    fn new(threads: usize) -> Self {
+        let identity: Vec<usize> = (0..threads).collect();
+        let others = canon::thread_permutations(threads)
+            .into_iter()
+            .filter(|perm| *perm != identity)
+            .collect();
+        Classifier {
+            identity,
+            others,
+            identity_key: Vec::new(),
+            other_key: Vec::new(),
+        }
+    }
+
+    /// `None` when no outcome of the shape can be a leader: its locations
+    /// are not in first-use order, or another thread permutation strictly
+    /// wins on program bytes (and so on every outcome).
+    fn classify(&mut self, combo: Combo) -> Option<ShapeMode> {
+        if !locs_first_use_ordered(combo) {
+            return None;
+        }
+        encode_permuted(combo, &self.identity, &mut self.identity_key);
+        let mut mode = ShapeMode::AllLeaders;
+        for perm in &self.others {
+            encode_permuted(combo, perm, &mut self.other_key);
+            match self.other_key.cmp(&self.identity_key) {
+                std::cmp::Ordering::Less => return None,
+                std::cmp::Ordering::Equal => mode = ShapeMode::CheckEach,
+                std::cmp::Ordering::Greater => {}
+            }
+        }
+        Some(mode)
+    }
+}
+
+/// Writes into `out` the program bytes of the shape's base program with
+/// its threads permuted by `perm` (new index -> old index) and every name
+/// renamed to first use: exactly what `canon::encode_program` writes for
+/// `canon::apply_renaming` of the base program. Locations are numbered in first use along the permuted
+/// threads; registers follow each thread's read order, which no
+/// permutation changes; write values count per location in permuted
+/// program order — the per-location value plan, which every streamed
+/// shape has because constant and `r - r + k` writes both bucket by
+/// their own location.
+fn encode_permuted(combo: Combo, perm: &[usize], out: &mut Vec<u8>) {
+    out.clear();
+    let mut new_loc = [u8::MAX; 256];
+    let mut next_loc = 0u8;
+    let mut writes = [0u8; 256];
+    for &old in perm {
+        canon::push_thread(out);
+        let mut reg = 0u8;
+        for access in combo.thread(old) {
+            let slot = &mut new_loc[usize::from(access.loc)];
+            if *slot == u8::MAX {
+                *slot = next_loc;
+                next_loc += 1;
+            }
+            let loc = AddrExpr::Loc(Loc(*slot));
+            if access.is_write {
+                let count = &mut writes[usize::from(*slot)];
+                *count = count.checked_add(1).expect("under 256 writes per location");
+                let value = Value(i64::from(*count));
+                canon::push_write(out, &loc);
+                if access.dep {
+                    canon::push_dep_const(out, Reg(reg), value);
+                } else {
+                    canon::push_const(out, value);
+                }
+            } else {
+                reg += 1;
+                canon::push_read(out, &loc, Reg(reg));
+            }
+            if access.fence_after {
+                canon::push_fence(out, FenceKind::Full);
+            }
+        }
+    }
 }
 
 /// A shape together with everything needed to materialise its outcomes.
@@ -311,17 +436,21 @@ struct ShapeState {
 }
 
 impl ShapeState {
-    /// Number of outcome candidates of this shape.
-    fn outcome_total(&self) -> u64 {
-        self.read_slots
-            .iter()
-            .map(|&(_, _, loc)| self.writes_per_loc[loc as usize].len() as u64 + 1)
-            .product()
+    fn new(combo: Combo, mode: ShapeMode) -> Self {
+        let (program, writes_per_loc, read_slots) = base_program(combo);
+        let choice = Some(vec![0usize; read_slots.len()]);
+        ShapeState {
+            program,
+            writes_per_loc,
+            read_slots,
+            mode,
+            choice,
+        }
     }
 
     /// Builds the test for the current choice and advances the counter.
-    fn next_candidate(&mut self, name: impl Into<String>) -> Option<LitmusTest> {
-        let choice = self.choice.as_mut()?;
+    fn next_candidate(&mut self, name: impl Into<String>) -> LitmusTest {
+        let choice = self.choice.as_ref().expect("a candidate is left");
         let mut outcome = Outcome::new();
         for (slot, &(thread, reg, loc)) in self.read_slots.iter().enumerate() {
             let expected = match choice[slot] {
@@ -330,25 +459,25 @@ impl ShapeState {
             };
             outcome = outcome.constrain(ThreadId(thread), reg, expected);
         }
-        // Advance the mixed-radix counter.
-        let mut pos = 0;
-        loop {
-            if pos == choice.len() {
-                self.choice = None;
-                break;
-            }
-            let radix = self.writes_per_loc[self.read_slots[pos].2 as usize].len() + 1;
+        self.advance();
+        LitmusTest::new(name, self.program.clone(), outcome)
+            .expect("streamed shapes materialise valid tests")
+    }
+
+    /// Advances the mixed-radix counter past the current choice without
+    /// building its test.
+    fn advance(&mut self) {
+        let Some(choice) = self.choice.as_mut() else {
+            return;
+        };
+        for (pos, &(_, _, loc)) in self.read_slots.iter().enumerate() {
             choice[pos] += 1;
-            if choice[pos] < radix {
-                break;
+            if choice[pos] <= self.writes_per_loc[loc as usize].len() {
+                return;
             }
             choice[pos] = 0;
-            pos += 1;
         }
-        Some(
-            LitmusTest::new(name, self.program.clone(), outcome)
-                .expect("streamed shapes materialise valid tests"),
-        )
+        self.choice = None;
     }
 }
 
@@ -360,16 +489,16 @@ type ReadSlots = Vec<(u8, Reg, u8)>;
 /// Materialises a shape's base program in the canonical naming convention:
 /// per-thread registers `r1, r2, …` in read order, per-location write
 /// values `1, 2, …` in program order.
-fn base_program(shape: &[&ThreadShape]) -> (Program, WritesPerLoc, ReadSlots) {
+fn base_program(combo: Combo) -> (Program, WritesPerLoc, ReadSlots) {
     let mut writes_per_loc: Vec<Vec<Value>> = vec![Vec::new(); 256];
     let mut next_value_per_loc = vec![1i64; 256];
     let mut read_slots: Vec<(u8, Reg, u8)> = Vec::new();
     let mut builder = Program::builder();
-    for (t, thread) in shape.iter().enumerate() {
+    for (t, thread) in combo.threads().enumerate() {
         builder = builder.thread();
         let mut next_reg = 1u8;
         let mut last_read: Option<Reg> = None;
-        for access in thread.iter() {
+        for access in thread {
             let loc = Loc(access.loc);
             if access.is_write {
                 let value = Value(next_value_per_loc[access.loc as usize]);
@@ -397,65 +526,6 @@ fn base_program(shape: &[&ThreadShape]) -> (Program, WritesPerLoc, ReadSlots) {
     (program, writes_per_loc, read_slots)
 }
 
-/// Classifies a shape: `None` means no outcome can be a leader.
-fn classify(shape: &[&ThreadShape]) -> Option<ShapeState> {
-    if !locs_first_use_ordered(shape) {
-        return None;
-    }
-    let (program, writes_per_loc, read_slots) = base_program(shape);
-    // A representative test (all reads expect the initial value) fixes the
-    // outcome-independent parts of the canonical machinery: the value plan
-    // and the per-permutation program renamings.
-    let mut rep_outcome = Outcome::new();
-    for &(thread, reg, _) in &read_slots {
-        rep_outcome = rep_outcome.constrain(ThreadId(thread), reg, Value::INIT);
-    }
-    let rep = LitmusTest::new("rep", program.clone(), rep_outcome)
-        .expect("streamed shapes materialise valid tests");
-    let plan = canon::value_plan(&rep);
-    let threads = shape.len();
-    let identity: Vec<usize> = (0..threads).collect();
-    let mut identity_encoding: Option<Vec<u8>> = None;
-    let mut best_other: Option<Vec<u8>> = None;
-    let mut convention_holds = true;
-    for perm in canon::thread_permutations(threads) {
-        let (renamed, _) = canon::apply_renaming(&rep, &perm, &plan);
-        let encoding = canon::encode_program(&renamed);
-        if perm == identity {
-            convention_holds = renamed == program;
-            identity_encoding = Some(encoding);
-        } else if best_other.as_ref().is_none_or(|b| encoding < *b) {
-            best_other = Some(encoding);
-        }
-    }
-    let identity_encoding = identity_encoding.expect("identity permutation always enumerated");
-    let mode = if !convention_holds {
-        // The materialization convention did not reproduce the identity
-        // renaming (e.g. the value plan degraded below per-location mode);
-        // fall back to exact per-candidate checks rather than reasoning
-        // about encodings.
-        ShapeMode::CheckEach
-    } else {
-        match best_other {
-            // Another permutation strictly wins on program bytes: its full
-            // encoding wins for every outcome, so no leader lives here.
-            Some(other) if other < identity_encoding => return None,
-            // A permutation ties on program bytes (symmetric threads): the
-            // outcome bytes decide, candidate by candidate.
-            Some(other) if other == identity_encoding => ShapeMode::CheckEach,
-            _ => ShapeMode::AllLeaders,
-        }
-    };
-    let choice = Some(vec![0usize; read_slots.len()]);
-    Some(ShapeState {
-        program,
-        writes_per_loc,
-        read_slots,
-        mode,
-        choice,
-    })
-}
-
 /// A bounded-memory iterator over the orbit leaders of a streamed space.
 ///
 /// Yields exactly one test per symmetry orbit of the bounded space — the
@@ -465,6 +535,7 @@ pub struct LeaderStream {
     shapes: Vec<ThreadShape>,
     /// Odometer over `shapes` (one digit per thread); `None` = exhausted.
     combo: Option<Vec<usize>>,
+    classifier: Classifier,
     current: Option<ShapeState>,
     /// Leaders yielded *by this stream* (shard-filtered).
     emitted: u64,
@@ -483,6 +554,7 @@ impl LeaderStream {
         LeaderStream {
             shapes,
             combo,
+            classifier: Classifier::new(bounds.threads),
             current: None,
             emitted: 0,
             leaders_seen: 0,
@@ -518,12 +590,6 @@ impl LeaderStream {
         self.shard
     }
 
-    /// The current shape combination, or `None` when exhausted.
-    fn current_shape(&self) -> Option<Vec<&ThreadShape>> {
-        let combo = self.combo.as_ref()?;
-        Some(combo.iter().map(|&i| &self.shapes[i]).collect())
-    }
-
     /// Advances the odometer; returns `false` when the space is exhausted.
     fn advance_combo(&mut self) -> bool {
         let Some(combo) = self.combo.as_mut() else {
@@ -536,55 +602,84 @@ impl LeaderStream {
             false
         }
     }
+
+    /// Moves to the next shape this stream materializes from, accounting
+    /// in bulk for every shape it steps past; `false` when exhausted.
+    fn next_shape(&mut self) -> bool {
+        loop {
+            let Some(digits) = self.combo.as_deref() else {
+                return false;
+            };
+            let combo = Combo {
+                shapes: &self.shapes,
+                digits,
+            };
+            match self.classifier.classify(combo) {
+                Some(ShapeMode::CheckEach) => {
+                    self.current = Some(ShapeState::new(combo, ShapeMode::CheckEach));
+                    return true;
+                }
+                Some(ShapeMode::AllLeaders) => {
+                    // Every outcome is a leader, so the shape holds global
+                    // indices `leaders_seen..leaders_seen + total`; a shard
+                    // holding none of them steps past it arithmetically.
+                    let total = outcome_product(combo);
+                    let first = self.leaders_seen;
+                    if self.shard.is_none_or(|s| s.keeps_any(first, total)) {
+                        self.current = Some(ShapeState::new(combo, ShapeMode::AllLeaders));
+                        return true;
+                    }
+                    self.leaders_seen += total;
+                    self.raw_visited += total;
+                }
+                None => self.raw_visited += outcome_product(combo),
+            }
+            if !self.advance_combo() {
+                return false;
+            }
+        }
+    }
 }
 
 impl Iterator for LeaderStream {
     type Item = LitmusTest;
 
     fn next(&mut self) -> Option<LitmusTest> {
+        let shard = self.shard;
         loop {
-            if let Some(state) = &mut self.current {
-                while state.choice.is_some() {
-                    let name = format!("stream-{}", self.leaders_seen);
-                    let test = state
-                        .next_candidate(name)
-                        .expect("choice was present");
-                    self.raw_visited += 1;
-                    let keep = match state.mode {
-                        ShapeMode::AllLeaders => true,
-                        ShapeMode::CheckEach => canon::is_leader(&test),
-                    };
-                    if keep {
-                        let global = self.leaders_seen;
+            if self.current.is_none() && !self.next_shape() {
+                return None;
+            }
+            let state = self.current.as_mut().expect("next_shape set a shape");
+            while state.choice.is_some() {
+                let global = self.leaders_seen;
+                let kept = shard.is_none_or(|s| s.keeps(global));
+                self.raw_visited += 1;
+                let test = match state.mode {
+                    // Every candidate is a leader: only kept ones are built.
+                    ShapeMode::AllLeaders if !kept => {
                         self.leaders_seen += 1;
-                        if self.shard.is_none_or(|s| s.keeps(global)) {
-                            self.emitted += 1;
-                            return Some(test);
-                        }
+                        state.advance();
+                        continue;
                     }
-                }
-                self.current = None;
-                if !self.advance_combo() {
-                    return None;
+                    ShapeMode::AllLeaders => state.next_candidate(format!("stream-{global}")),
+                    ShapeMode::CheckEach => {
+                        let test = state.next_candidate(format!("stream-{global}"));
+                        if !canon::is_leader(&test) {
+                            continue;
+                        }
+                        test
+                    }
+                };
+                self.leaders_seen += 1;
+                if kept {
+                    self.emitted += 1;
+                    return Some(test);
                 }
             }
-            // Find the next shape that can contain a leader.
-            loop {
-                let shape = self.current_shape()?;
-                match classify(&shape) {
-                    Some(state) => {
-                        self.current = Some(state);
-                        break;
-                    }
-                    None => {
-                        // Account for the skipped candidates without
-                        // materialising them.
-                        self.raw_visited += outcome_product(&shape);
-                        if !self.advance_combo() {
-                            return None;
-                        }
-                    }
-                }
+            self.current = None;
+            if !self.advance_combo() {
+                return None;
             }
         }
     }
@@ -612,13 +707,12 @@ pub fn leaders_sharded(bounds: &StreamBounds, shard: Shard) -> LeaderStream {
 #[must_use]
 pub fn count_leaders(bounds: &StreamBounds) -> u64 {
     let mut total = 0u64;
-    for_each_shape(bounds, |state| match state.mode {
-        ShapeMode::AllLeaders => total += state.outcome_total(),
+    for_each_shape(bounds, |combo, mode| match mode {
+        ShapeMode::AllLeaders => total += outcome_product(combo),
         ShapeMode::CheckEach => {
-            let mut state = state;
+            let mut state = ShapeState::new(combo, mode);
             while state.choice.is_some() {
-                let test = state.next_candidate("count").expect("choice present");
-                if canon::is_leader(&test) {
+                if canon::is_leader(&state.next_candidate("count")) {
                     total += 1;
                 }
             }
@@ -631,27 +725,13 @@ pub fn count_leaders(bounds: &StreamBounds) -> u64 {
 /// outcomes) within `bounds`.
 #[must_use]
 pub fn count_leader_programs(bounds: &StreamBounds) -> u64 {
+    // A shape is a canonical program iff no other thread permutation
+    // strictly beats its identity renaming on program bytes — exactly the
+    // shapes the classifier keeps, in either mode (on a tie the
+    // all-initial outcome encodes identically under both permutations).
     let mut total = 0u64;
-    for_each_shape(bounds, |state| {
-        // A shape is a canonical program iff its identity renaming is a
-        // fixed point that no other permutation strictly beats — exactly
-        // the shapes `classify` keeps in either mode, except conventions
-        // that failed to reproduce the identity renaming.
-        if state.mode == ShapeMode::AllLeaders || canon::is_leader(&leader_probe(&state)) {
-            total += 1;
-        }
-    });
+    for_each_shape(bounds, |_, _| total += 1);
     total
-}
-
-/// A probe test for program-level leadership: the all-initial outcome.
-fn leader_probe(state: &ShapeState) -> LitmusTest {
-    let mut outcome = Outcome::new();
-    for &(thread, reg, _) in &state.read_slots {
-        outcome = outcome.constrain(ThreadId(thread), reg, Value::INIT);
-    }
-    LitmusTest::new("probe", state.program.clone(), outcome)
-        .expect("streamed shapes materialise valid tests")
 }
 
 /// The raw (symmetry-unreduced) size of the bounded space — what a
@@ -675,29 +755,36 @@ pub fn try_count_raw(bounds: &StreamBounds, combo_cap: u64) -> Option<u64> {
         return None;
     }
     let mut total = 0u64;
-    let mut combo = vec![0usize; bounds.threads];
-    loop {
-        let shape: Vec<&ThreadShape> = combo.iter().map(|&i| &shapes[i]).collect();
-        total += outcome_product(&shape);
-        if !advance_odometer(&mut combo, shapes.len()) {
-            return Some(total);
-        }
-    }
+    walk_combos(&shapes, bounds.threads, |combo| {
+        total += outcome_product(combo)
+    });
+    Some(total)
 }
 
-/// Drives `f` over every shape that can contain a leader.
-fn for_each_shape(bounds: &StreamBounds, mut f: impl FnMut(ShapeState)) {
+/// Drives `f` over every shape that can contain a leader, with its mode.
+fn for_each_shape(bounds: &StreamBounds, mut f: impl FnMut(Combo, ShapeMode)) {
     let shapes = thread_shapes(bounds);
-    if bounds.threads == 0 || shapes.is_empty() {
+    let mut classifier = Classifier::new(bounds.threads);
+    walk_combos(&shapes, bounds.threads, |combo| {
+        if let Some(mode) = classifier.classify(combo) {
+            f(combo, mode);
+        }
+    });
+}
+
+/// Drives `f` over every combination of `threads` shapes, in odometer
+/// order.
+fn walk_combos(shapes: &[ThreadShape], threads: usize, mut f: impl FnMut(Combo)) {
+    if threads == 0 || shapes.is_empty() {
         return;
     }
-    let mut combo = vec![0usize; bounds.threads];
+    let mut digits = vec![0usize; threads];
     loop {
-        let shape: Vec<&ThreadShape> = combo.iter().map(|&i| &shapes[i]).collect();
-        if let Some(state) = classify(&shape) {
-            f(state);
-        }
-        if !advance_odometer(&mut combo, shapes.len()) {
+        f(Combo {
+            shapes,
+            digits: &digits,
+        });
+        if !advance_odometer(&mut digits, shapes.len()) {
             return;
         }
     }
@@ -716,6 +803,127 @@ mod tests {
             max_locs: 2,
             include_fences: false,
             include_deps: false,
+        }
+    }
+
+    /// The reference classifier: the canon-based permutation contest the
+    /// byte classifier replaces. It renames a representative test of the
+    /// shape's base program under every thread permutation with the full
+    /// canonicalization machinery and compares the encoded programs.
+    fn classify_by_canon(combo: Combo) -> Option<ShapeMode> {
+        if !locs_first_use_ordered(combo) {
+            return None;
+        }
+        let (program, _, read_slots) = base_program(combo);
+        let mut rep_outcome = Outcome::new();
+        for &(thread, reg, _) in &read_slots {
+            rep_outcome = rep_outcome.constrain(ThreadId(thread), reg, Value::INIT);
+        }
+        let rep = LitmusTest::new("rep", program.clone(), rep_outcome).unwrap();
+        let plan = canon::value_plan(&rep);
+        let threads = combo.digits.len();
+        let identity: Vec<usize> = (0..threads).collect();
+        let mut identity_encoding = None;
+        let mut best_other: Option<Vec<u8>> = None;
+        for perm in canon::thread_permutations(threads) {
+            let (renamed, _) = canon::apply_renaming(&rep, &perm, &plan);
+            let encoding = canon::encode_program(&renamed);
+            if perm == identity {
+                // The materialization convention is the identity renaming.
+                assert_eq!(renamed, program, "base program is not in first-use names");
+                identity_encoding = Some(encoding);
+            } else if best_other.as_ref().is_none_or(|b| encoding < *b) {
+                best_other = Some(encoding);
+            }
+        }
+        let identity_encoding = identity_encoding.expect("identity permutation enumerated");
+        match best_other {
+            Some(other) if other < identity_encoding => None,
+            Some(other) if other == identity_encoding => Some(ShapeMode::CheckEach),
+            _ => Some(ShapeMode::AllLeaders),
+        }
+    }
+
+    /// Asserts the byte classifier and the canon contest agree on every
+    /// shape combination of `bounds`; returns how many shapes each mode
+    /// got, so callers can see the bounds exercise both.
+    fn classifiers_agree(bounds: &StreamBounds) -> (u64, u64) {
+        let shapes = thread_shapes(bounds);
+        let mut classifier = Classifier::new(bounds.threads);
+        let (mut all, mut each) = (0, 0);
+        walk_combos(&shapes, bounds.threads, |combo| {
+            let mode = classifier.classify(combo);
+            assert_eq!(
+                mode,
+                classify_by_canon(combo),
+                "{bounds:?}: {:?}",
+                combo.digits
+            );
+            match mode {
+                Some(ShapeMode::AllLeaders) => all += 1,
+                Some(ShapeMode::CheckEach) => each += 1,
+                None => {}
+            }
+        });
+        (all, each)
+    }
+
+    #[test]
+    fn byte_classifier_matches_the_canon_contest() {
+        let deps = StreamBounds {
+            include_deps: true,
+            max_locs: 3,
+            ..StreamBounds::default()
+        };
+        let three_threads = StreamBounds {
+            threads: 3,
+            max_locs: 3,
+            ..small_bounds()
+        };
+        let fences_deps = StreamBounds {
+            include_fences: true,
+            include_deps: true,
+            ..small_bounds()
+        };
+        for bounds in [StreamBounds::default(), deps, three_threads, fences_deps] {
+            let (all, each) = classifiers_agree(&bounds);
+            assert!(
+                all > 0 && each > 0,
+                "{bounds:?}: {all} all-leader, {each} check-each"
+            );
+        }
+    }
+
+    /// The larger matrix; `cargo test --release -p mcm-gen --
+    /// --include-ignored` runs it.
+    #[test]
+    #[ignore = "minutes in a debug build; run in release"]
+    fn byte_classifier_matches_the_canon_contest_on_larger_bounds() {
+        let base = StreamBounds::default();
+        let four = StreamBounds {
+            max_accesses_per_thread: 4,
+            max_locs: 2,
+            ..base
+        };
+        for bounds in [
+            StreamBounds {
+                include_fences: true,
+                max_locs: 3,
+                ..base
+            },
+            StreamBounds {
+                include_fences: true,
+                include_deps: true,
+                max_locs: 2,
+                ..base
+            },
+            four,
+            StreamBounds {
+                include_deps: true,
+                ..four
+            },
+        ] {
+            classifiers_agree(&bounds);
         }
     }
 
@@ -836,49 +1044,118 @@ mod tests {
         assert_eq!(names, vec!["stream-0", "stream-1", "stream-2"]);
     }
 
-    #[test]
-    fn shards_partition_the_leader_stream() {
-        let bounds = small_bounds();
-        let full: Vec<(String, u64)> = leaders(&bounds)
-            .map(|t| (t.name().to_string(), canon::fingerprint(&t)))
-            .collect();
-        for n in [1u32, 2, 3] {
-            let mut union: Vec<(String, u64)> = Vec::new();
+    /// The bounds the shard identities run over: tiny, fenced and
+    /// dependent, and three-threaded.
+    fn shard_bounds() -> [StreamBounds; 3] {
+        [
+            small_bounds(),
+            StreamBounds {
+                include_fences: true,
+                include_deps: true,
+                ..small_bounds()
+            },
+            StreamBounds {
+                threads: 3,
+                max_locs: 3,
+                ..small_bounds()
+            },
+        ]
+    }
+
+    const SHARD_COUNTS: [u32; 4] = [1, 2, 3, 16];
+
+    /// One streamed leader: name, outcome and orbit fingerprint, plus the
+    /// stream's `(raw_visited, leaders_seen)` right after yielding it.
+    type Yielded = (String, String, u64, (u64, u64));
+
+    /// Drains `stream`, recording every test and the cursors after it;
+    /// returns them with the cursors at exhaustion.
+    fn drain(mut stream: LeaderStream) -> (Vec<Yielded>, (u64, u64)) {
+        let mut out = Vec::new();
+        while let Some(test) = stream.next() {
+            out.push((
+                test.name().to_string(),
+                test.outcome().to_string(),
+                canon::fingerprint(&test),
+                (stream.raw_visited(), stream.leaders_seen()),
+            ));
+        }
+        (out, (stream.raw_visited(), stream.leaders_seen()))
+    }
+
+    fn shards_partition(bounds: &StreamBounds) {
+        let (full, full_end) = drain(leaders(bounds));
+        for n in SHARD_COUNTS {
+            let mut union: Vec<Yielded> = Vec::new();
             for i in 0..n {
                 let shard = Shard::new(i, n).unwrap();
-                let slice: Vec<(String, u64)> = leaders_sharded(&bounds, shard)
-                    .map(|t| (t.name().to_string(), canon::fingerprint(&t)))
-                    .collect();
+                let (slice, end) = drain(leaders_sharded(bounds, shard));
                 // Each shard keeps exactly the indices ≡ i (mod n), with
-                // names still keyed to the global leader index.
-                assert_eq!(
-                    slice,
-                    full.iter()
-                        .enumerate()
-                        .filter(|(idx, _)| shard.keeps(*idx as u64))
-                        .map(|(_, t)| t.clone())
-                        .collect::<Vec<_>>(),
-                    "shard {shard} differs from the filtered full stream"
-                );
+                // names still keyed to the global leader index, and yields
+                // each one at the cursors the unsharded stream had there.
+                let expected: Vec<Yielded> = full
+                    .iter()
+                    .enumerate()
+                    .filter(|(idx, _)| shard.keeps(*idx as u64))
+                    .map(|(_, t)| t.clone())
+                    .collect();
+                assert_eq!(slice, expected, "{bounds:?}: shard {shard} differs");
+                assert_eq!(end, full_end, "{bounds:?}: shard {shard} ends elsewhere");
                 union.extend(slice);
             }
             union.sort();
             let mut expected = full.clone();
             expected.sort();
-            assert_eq!(union, expected, "{n}-way shards must partition the stream");
+            assert_eq!(union, expected, "{bounds:?}: {n}-way shards must partition");
+        }
+    }
+
+    #[test]
+    fn shards_partition_the_leader_stream() {
+        for bounds in shard_bounds() {
+            shards_partition(&bounds);
+        }
+    }
+
+    fn sharded_counts(bounds: &StreamBounds) {
+        let (full, (full_raw, total)) = drain(leaders(bounds));
+        for n in SHARD_COUNTS {
+            let shard = Shard::new(n - 1, n).unwrap();
+            let mut stream = leaders_sharded(bounds, shard);
+            let kept = stream.by_ref().count() as u64;
+            assert_eq!(stream.leaders_seen(), total);
+            assert_eq!(stream.raw_visited(), full_raw);
+            assert_eq!(stream.leaders_emitted(), kept);
+            assert_eq!(kept, total / u64::from(n), "{bounds:?}: shard {shard}");
+            assert_eq!(stream.shard(), Some(shard));
+            // `.take(k)` stops at the same test, with the same cursors,
+            // as the filtered unsharded stream.
+            let k = 5;
+            let mut stream = leaders_sharded(bounds, shard);
+            let last = stream
+                .by_ref()
+                .take(k)
+                .last()
+                .expect("the shard is not empty");
+            let (name, _, fingerprint, cursors) = full
+                .iter()
+                .enumerate()
+                .filter(|(idx, _)| shard.keeps(*idx as u64))
+                .map(|(_, t)| t)
+                .nth(k - 1)
+                .expect("the shard holds k leaders");
+            assert_eq!(last.name(), name);
+            assert_eq!(canon::fingerprint(&last), *fingerprint);
+            assert_eq!((stream.raw_visited(), stream.leaders_seen()), *cursors);
+            assert_eq!(stream.leaders_emitted(), k as u64);
         }
     }
 
     #[test]
     fn sharded_stream_counts_both_cursors() {
-        let bounds = small_bounds();
-        let total = leaders(&bounds).count() as u64;
-        let mut stream = leaders_sharded(&bounds, Shard::new(1, 2).unwrap());
-        let kept = stream.by_ref().count() as u64;
-        assert_eq!(stream.leaders_seen(), total);
-        assert_eq!(stream.leaders_emitted(), kept);
-        assert_eq!(kept, total / 2);
-        assert_eq!(stream.shard(), Shard::new(1, 2));
+        for bounds in shard_bounds() {
+            sharded_counts(&bounds);
+        }
     }
 
     #[test]

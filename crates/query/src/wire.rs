@@ -614,10 +614,18 @@ fn parse_stream(body: &Json) -> Result<TestSource, QueryError> {
             .ok_or_else(|| invalid(format!("stream max_accesses needs 1..=4, got {n}")))?;
     }
     if let Some(n) = opt_int(inner, "max_locs")? {
+        // No leader uses more locations than it has accesses; a larger
+        // bound only multiplies the shapes walked before the first one.
+        let most = bounds.threads * bounds.max_accesses_per_thread;
         bounds.max_locs = u8::try_from(n)
             .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| invalid(format!("stream max_locs needs 1..=255, got {n}")))?;
+            .filter(|&n| n >= 1 && usize::from(n) <= most)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "stream max_locs needs 1..={most} ({} threads x {} accesses), got {n}",
+                    bounds.threads, bounds.max_accesses_per_thread
+                ))
+            })?;
     }
     bounds.include_fences = opt_bool(inner, "fences")?.unwrap_or(false);
     bounds.include_deps = opt_bool(inner, "deps")?.unwrap_or(false);
@@ -899,6 +907,27 @@ mod tests {
         assert!(!bounds.include_deps);
         assert_eq!(*limit, Some(50));
         assert_eq!(shard.map(|s| (s.index(), s.count())), Some((1, 4)));
+    }
+
+    #[test]
+    fn stream_max_locs_is_bounded_by_the_access_count() {
+        let parse = |stream: &str| {
+            WireRequest::parse(&format!(
+                r#"{{"query": "sweep", "tests": {{"stream": {stream}}}}}"#
+            ))
+        };
+        // Two threads of at most `max_accesses` accesses: 2 x 3 by default.
+        assert!(parse(r#"{"max_locs": 6}"#).is_ok());
+        for bad in [
+            r#"{"max_locs": 7}"#,
+            r#"{"max_locs": 255}"#,
+            r#"{"max_accesses": 1, "max_locs": 3}"#,
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.is_usage(), "`{bad}` must be a usage error, got {err}");
+            assert!(err.to_string().contains("max_locs"), "{err}");
+        }
+        assert!(parse(r#"{"max_accesses": 4, "max_locs": 8}"#).is_ok());
     }
 
     #[test]

@@ -225,6 +225,25 @@ fn wire_validation_errors_carry_the_offending_field() {
     runner.join().expect("clean shutdown");
 }
 
+#[test]
+fn an_oversized_stream_bound_is_a_400_and_the_server_keeps_answering() {
+    // `max_locs` past the access count once walked ~10^8 shapes before
+    // the first leader and could exhaust the server's memory.
+    let (addr, handle, runner) = boot();
+    let body = r#"{"query": "sweep", "models": ["SC", "TSO"],
+        "tests": {"stream": {"max_accesses": 3, "max_locs": 255, "limit": 10}}}"#;
+    let response = client::post_query(addr, body).expect("answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("max_locs"), "{}", response.body);
+    assert_error_document(&response.body, 400);
+    assert_healthy(addr);
+    let ok = client::post_query(addr, r#"{"query": "compare", "left": "TSO", "right": "x86"}"#)
+        .expect("answered");
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    handle.shutdown();
+    runner.join().expect("clean shutdown");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
