@@ -429,8 +429,9 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Nesting depth cap: protects the recursive-descent parser from stack
-/// exhaustion on adversarial input.
-const MAX_DEPTH: usize = 128;
+/// exhaustion on adversarial input. A value inside `MAX_DEPTH` nested
+/// arrays or objects parses; one level more is an error.
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

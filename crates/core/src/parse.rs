@@ -301,22 +301,32 @@ fn parse_loc(name: &str) -> Option<Loc> {
     }
 }
 
+/// Term cap of one `+`/`-` expression. The parser builds a left-deep
+/// [`RegExpr`] chain, nested once per term, and everything downstream
+/// (evaluation, printing, drop) recurses over it: an unbounded chain in
+/// adversarial input would exhaust the stack.
+pub const MAX_EXPR_TERMS: usize = 64;
+
 fn parse_expr(p: &mut Parser) -> Result<RegExpr, ParseError> {
+    let line = p.line();
     let mut lhs = parse_term(p)?;
+    let mut terms = 1;
     loop {
-        match p.peek() {
-            Some(Tok::Plus) => {
-                p.next();
-                let rhs = parse_term(p)?;
-                lhs = RegExpr::Add(Box::new(lhs), Box::new(rhs));
-            }
-            Some(Tok::Minus) => {
-                p.next();
-                let rhs = parse_term(p)?;
-                lhs = RegExpr::Sub(Box::new(lhs), Box::new(rhs));
-            }
+        let op = match p.peek() {
+            Some(Tok::Plus) => RegExpr::Add,
+            Some(Tok::Minus) => RegExpr::Sub,
             _ => return Ok(lhs),
+        };
+        terms += 1;
+        if terms > MAX_EXPR_TERMS {
+            return Err(ParseError::new(
+                line,
+                format!("expression has more than {MAX_EXPR_TERMS} terms"),
+            ));
         }
+        p.next();
+        let rhs = parse_term(p)?;
+        lhs = op(Box::new(lhs), Box::new(rhs));
     }
 }
 
@@ -694,6 +704,20 @@ test L4ish {
     #[test]
     fn unterminated_string_is_an_error() {
         assert!(parse_litmus("test A \"oops {\n}").is_err());
+    }
+
+    #[test]
+    fn expression_term_cap() {
+        let program = |terms: usize| {
+            let expr = vec!["1"; terms].join(" + ");
+            format!(
+                "test Long {{\n  thread {{\n    op r1 = {expr}\n    write X = {expr}\n    branch {expr}\n  }}\n  outcome {{ }}\n}}"
+            )
+        };
+        parse_litmus(&program(MAX_EXPR_TERMS)).unwrap();
+        let err = parse_litmus(&program(MAX_EXPR_TERMS + 1)).unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert!(err.to_string().contains("more than 64 terms"), "{err}");
     }
 
     #[test]

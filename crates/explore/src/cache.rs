@@ -12,18 +12,27 @@
 //!   of the test's canonical symmetry-orbit representative, so all
 //!   symmetric variants of a test share entries.
 //!
-//! The cache is sharded (a fixed array of mutex-protected maps indexed by
-//! key hash) so concurrent sweep workers do not serialise on one lock, and
-//! the parallel engine additionally batches its insertions: workers record
-//! newly computed verdicts locally and merge them shard-by-shard when the
-//! sweep finishes (see [`crate::space`]).
+//! The sweep engine's unit of work is a test row (one test against every
+//! model), so the cache stores **rows, not cells**. Writes (`insert`,
+//! `merge`, `hydrate`) intern model fingerprints into a cache-wide
+//! **model-id table** (`model_fp → u32`); lookups only read it. Each test
+//! fingerprint maps to one row of three bit planes indexed by model id —
+//! *known*, *allowed*, *durable* — stored word-interleaved
+//! (`[known₀, allowed₀, durable₀, known₁, …]`), growing by whole 64-bit
+//! words when a higher id first lands in it: a server sees arbitrary
+//! model sets. The rows live in 16 mutex-protected maps chosen by the
+//! **test** fingerprint alone, so a row lookup
+//! ([`VerdictCache::lookup_row`], ids resolved once per sweep by
+//! [`VerdictCache::model_ids`]) costs one shard lock and one hash probe
+//! for all its models.
 //!
-//! The RAM shards can sit in front of a durable tier (`mcm-store`'s
-//! `DiskCache`): entries hydrated from disk are tagged with their
-//! provenance so hit counters distinguish `hits_ram` (computed this
-//! process) from `hits_disk` (recovered from an earlier process), and a
+//! The rows can sit in front of a durable tier (`mcm-store`'s
+//! `DiskCache`): hydrated entries carry their durable bit, so hit
+//! counters tell `hits_ram` (computed this process) from `hits_disk`
+//! (recovered from an earlier one); writing a verdict clears the bit. A
 //! [`DurableSink`] installed with [`VerdictCache::set_sink`] receives
-//! every freshly computed verdict for write-through persistence.
+//! every fresh verdict, one `(model_fp, test_fp)` cell per record, for
+//! write-through persistence.
 //!
 //! Keys are 128 bits of hash; a collision would silently reuse a verdict.
 //! With 64-bit fingerprints on each side the collision probability across
@@ -34,52 +43,80 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
 
 use mcm_core::MemoryModel;
 
 /// Number of independent shards; a power of two so the shard index is a
-/// mask of the key hash.
+/// mask of the test fingerprint.
 const SHARDS: usize = 16;
+
+/// Cells written per model-id resolution pass in `write_cells`: bounds
+/// the scratch memory of hydrating a large log.
+const WRITE_CHUNK: usize = 4096;
 
 /// A cache key: (model fingerprint, canonical-test fingerprint).
 pub type Key = (u64, u64);
 
-/// One memoized verdict plus its provenance tier.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    allowed: bool,
-    /// `true` when the entry was hydrated from a durable store rather
-    /// than computed by a checker in this process.
-    durable: bool,
+/// One test's verdicts over the model-id table: word `w` of the known,
+/// allowed and durable planes sits at `3w`, `3w + 1` and `3w + 2`.
+#[derive(Default)]
+struct Row(Vec<u64>);
+
+impl Row {
+    fn word_and_bit(id: u32) -> (usize, u64) {
+        (3 * (id as usize / 64), 1 << (id % 64))
+    }
+
+    /// The cell of model `id`: `(allowed, durable)` when known.
+    fn get(&self, id: u32) -> Option<(bool, bool)> {
+        let (w, bit) = Self::word_and_bit(id);
+        let planes = self.0.get(w..w + 3)?;
+        (planes[0] & bit != 0).then(|| (planes[1] & bit != 0, planes[2] & bit != 0))
+    }
+
+    /// Writes the cell of model `id`, returning its previous verdict.
+    fn set(&mut self, id: u32, allowed: bool, durable: bool) -> Option<bool> {
+        let prev = self.get(id).map(|(allowed, _)| allowed);
+        let (w, bit) = Self::word_and_bit(id);
+        if self.0.len() < w + 3 {
+            self.0.resize(w + 3, 0);
+        }
+        for (plane, on) in self.0[w..w + 3].iter_mut().zip([true, allowed, durable]) {
+            *plane = (*plane & !bit) | if on { bit } else { 0 };
+        }
+        prev
+    }
 }
 
+/// The cache-wide ids of a list of models, resolved once by
+/// [`VerdictCache::model_ids`] for many [`VerdictCache::lookup_row`]
+/// calls. `None` marks a model with no verdict written when the ids were
+/// resolved; its cells read as misses. Ids are never reassigned, so a
+/// resolution stays valid for the life of its cache.
+#[derive(Clone, Debug)]
+pub struct ModelIds(Vec<Option<u32>>);
+
 /// A durable write-through target for freshly computed verdicts: the
-/// sweep engine merges worker batches into the RAM shards, and any sink
+/// sweep engine merges worker batches into the RAM rows, and any sink
 /// installed with [`VerdictCache::set_sink`] sees the same batches so a
 /// disk tier can persist them on batch boundaries.
 pub trait DurableSink: Send + Sync {
     /// Persists a batch of fresh `(key, allowed)` verdicts. Called after
-    /// the RAM shards were updated; entries already present with the same
+    /// the RAM rows were updated; entries already present with the same
     /// verdict are filtered out before this is called.
     fn persist(&self, batch: &[(Key, bool)]);
 }
 
-/// Result of a tier-aware row lookup ([`VerdictCache::get_row_tiered`]).
-#[derive(Clone, Debug, Default)]
-pub struct RowLookup {
-    /// Per-model verdicts, `None` where the cache had no entry.
-    pub verdicts: Vec<Option<bool>>,
-    /// Hits answered by entries computed in this process.
-    pub hits_ram: u64,
-    /// Hits answered by entries hydrated from a durable store.
-    pub hits_disk: u64,
-}
-
-/// A sharded, thread-safe memo table for (model, test) verdicts.
+/// A sharded, thread-safe memo table for (model, test) verdicts, stored
+/// as one row of model-id bits per test.
 #[derive(Default)]
 pub struct VerdictCache {
-    shards: [Mutex<HashMap<Key, Slot>>; SHARDS],
+    shards: [Mutex<HashMap<u64, Row>>; SHARDS],
+    /// The model-id table: grown by writes, read by lookups.
+    ids: RwLock<HashMap<u64, u32>>,
+    /// Known cells across all rows, kept under the shard locks.
+    entries: AtomicU64,
     hits_ram: AtomicU64,
     hits_disk: AtomicU64,
     misses: AtomicU64,
@@ -122,10 +159,12 @@ impl VerdictCache {
         hasher.finish()
     }
 
-    fn shard(key: Key) -> usize {
-        // Mix both halves so shard load stays balanced even when one
-        // fingerprint is constant (single-model sweeps).
-        ((key.0 ^ key.1.rotate_left(32)) as usize) & (SHARDS - 1)
+    /// The shard of a test's row: the test fingerprint alone picks it,
+    /// so a row lives in one shard whatever models it holds. Single-model
+    /// sweeps still spread over the shards: their workers claim
+    /// different tests.
+    fn shard(test_fp: u64) -> usize {
+        test_fp as usize & (SHARDS - 1)
     }
 
     /// Locks shard `i`, counting the acquisition as contended when
@@ -133,7 +172,7 @@ impl VerdictCache {
     /// count feeds `shard_contention` in [`VerdictCache::counters`]
     /// and the global `mcm_cache_shard_contention_total` series — the
     /// signal that says whether [`SHARDS`] needs to grow.
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, HashMap<Key, Slot>> {
+    fn lock_shard(&self, i: usize) -> MutexGuard<'_, HashMap<u64, Row>> {
         match self.shards[i].try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
@@ -151,9 +190,12 @@ impl VerdictCache {
         }
     }
 
-    /// Mirrors a batch of lookup results into the process-wide metric
-    /// series scraped by `GET /metricsz`.
-    fn observe_lookups(&self, hits_ram: u64, hits_disk: u64, misses: u64) {
+    /// Counts a batch of lookup results and mirrors it into the
+    /// process-wide metric series scraped by `GET /metricsz`.
+    fn count_lookups(&self, hits_ram: u64, hits_disk: u64, misses: u64) {
+        self.hits_ram.fetch_add(hits_ram, Ordering::Relaxed);
+        self.hits_disk.fetch_add(hits_disk, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
         if !mcm_obs::enabled() {
             return;
         }
@@ -186,164 +228,129 @@ impl VerdictCache {
         self.sink.set(sink).is_ok()
     }
 
-    /// Hands a batch of fresh verdicts to the durable tier, if one is
-    /// installed.
-    fn persist(&self, fresh: &[(Key, bool)]) {
-        if fresh.is_empty() {
-            return;
-        }
-        if let Some(sink) = self.sink.get() {
-            sink.persist(fresh);
+    /// Writes `cells` into their test rows, `durable` tagging their tier,
+    /// and returns the non-durable cells that are fresh (new, or with a
+    /// changed verdict). Model ids are interned a chunk at a time, and
+    /// consecutive cells of one shard share one lock acquisition; the
+    /// `entries` count moves under that lock.
+    fn write_cells(
+        &self,
+        cells: impl IntoIterator<Item = (Key, bool)>,
+        durable: bool,
+    ) -> Vec<(Key, bool)> {
+        let mut cells = cells.into_iter();
+        let mut chunk: Vec<(Key, bool)> = Vec::new();
+        let mut fresh = Vec::new();
+        loop {
+            chunk.clear();
+            chunk.extend(cells.by_ref().take(WRITE_CHUNK));
+            if chunk.is_empty() {
+                return fresh;
+            }
+            let ids: Vec<u32> = {
+                let mut table = self.ids.write().expect("model-id table poisoned");
+                chunk
+                    .iter()
+                    .map(|&((model_fp, _), _)| {
+                        let next = table.len() as u32;
+                        *table.entry(model_fp).or_insert(next)
+                    })
+                    .collect()
+            };
+            let mut held: Option<(usize, MutexGuard<'_, HashMap<u64, Row>>)> = None;
+            for (&(key, allowed), &id) in chunk.iter().zip(&ids) {
+                let s = Self::shard(key.1);
+                if held.as_ref().is_none_or(|(h, _)| *h != s) {
+                    drop(held.take()); // never hold two shard locks
+                    held = Some((s, self.lock_shard(s)));
+                }
+                let (_, shard) = held.as_mut().expect("locked above");
+                let prev = shard.entry(key.1).or_default().set(id, allowed, durable);
+                if prev.is_none() {
+                    self.entries.fetch_add(1, Ordering::Relaxed);
+                }
+                if !durable && prev != Some(allowed) {
+                    fresh.push((key, allowed));
+                }
+            }
         }
     }
 
     /// Pre-loads verdicts recovered from a durable store, tagging them as
     /// disk-tier so later lookups count as `hits_disk`. Does not notify
     /// the sink (the records are already durable) and does not touch the
-    /// hit/miss statistics.
+    /// hit/miss statistics. Later records overwrite earlier ones.
     pub fn hydrate(&self, records: impl IntoIterator<Item = (Key, bool)>) {
-        let mut by_shard: [Vec<(Key, Slot)>; SHARDS] = Default::default();
-        for (key, allowed) in records {
-            by_shard[Self::shard(key)].push((
-                key,
-                Slot {
-                    allowed,
-                    durable: true,
-                },
-            ));
-        }
-        for (i, entries) in by_shard.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            self.lock_shard(i).extend(entries);
-        }
+        self.write_cells(records, true);
     }
 
-    /// Looks a verdict up, recording a hit or miss.
+    /// Looks a verdict up, recording a hit or miss: a one-model row
+    /// lookup.
     #[must_use]
     pub fn get(&self, key: Key) -> Option<bool> {
-        let found = self.lock_shard(Self::shard(key)).get(&key).copied();
-        match found {
-            Some(slot) if slot.durable => self.hits_disk.fetch_add(1, Ordering::Relaxed),
-            Some(_) => self.hits_ram.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        let (ram, disk) = match found {
-            Some(slot) => (u64::from(!slot.durable), u64::from(slot.durable)),
-            None => (0, 0),
-        };
-        self.observe_lookups(ram, disk, u64::from(found.is_none()));
-        found.map(|slot| slot.allowed)
+        let mut found = None;
+        self.lookup_row(&self.model_ids(&[key.0]), key.1, |_, v| found = v);
+        found
     }
 
-    /// Looks up a whole sweep row — every model fingerprint paired with
-    /// one test fingerprint — taking each shard lock at most once instead
-    /// of once per key. This is the lookup shape of the test-major engine,
-    /// whose unit of work is a test row, not a cell. Records one hit or
-    /// miss per key.
+    /// Resolves `model_fps` against the model-id table for
+    /// [`VerdictCache::lookup_row`]. Reads the table only: a model with
+    /// no verdict written yet gets no id, and its cells read as misses.
     #[must_use]
-    pub fn get_row(&self, model_fps: &[u64], test_fp: u64) -> Vec<Option<bool>> {
-        self.get_row_tiered(model_fps, test_fp).verdicts
+    pub fn model_ids(&self, model_fps: &[u64]) -> ModelIds {
+        let table = self.ids.read().expect("model-id table poisoned");
+        ModelIds(model_fps.iter().map(|fp| table.get(fp).copied()).collect())
     }
 
-    /// [`VerdictCache::get_row`] with the hit counts of the lookup split
-    /// by provenance tier, so the sweep engine can attribute row hits to
-    /// RAM vs disk in [`crate::SweepStats`].
-    #[must_use]
-    pub fn get_row_tiered(&self, model_fps: &[u64], test_fp: u64) -> RowLookup {
-        let mut out = RowLookup {
-            verdicts: vec![None; model_fps.len()],
-            ..RowLookup::default()
-        };
-        let mut by_shard: [Vec<usize>; SHARDS] = Default::default();
-        for (i, &model_fp) in model_fps.iter().enumerate() {
-            by_shard[Self::shard((model_fp, test_fp))].push(i);
-        }
-        let mut misses = 0u64;
-        for (s, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = self.lock_shard(s);
-            for &i in indices {
-                match shard.get(&(model_fps[i], test_fp)) {
-                    Some(slot) => {
-                        out.verdicts[i] = Some(slot.allowed);
-                        if slot.durable {
-                            out.hits_disk += 1;
-                        } else {
-                            out.hits_ram += 1;
-                        }
-                    }
-                    None => misses += 1,
+    /// Looks up one test row: calls `visit(i, verdict)` for every model
+    /// `i` of `ids`, in order, with `None` where the cache has no entry —
+    /// one shard lock and one hash probe for the whole row. Records one
+    /// hit or miss per model and returns the hits split by provenance
+    /// tier, `(ram, disk)`.
+    pub fn lookup_row(
+        &self,
+        ids: &ModelIds,
+        test_fp: u64,
+        mut visit: impl FnMut(usize, Option<bool>),
+    ) -> (u64, u64) {
+        let (mut ram, mut disk) = (0u64, 0u64);
+        {
+            let shard = self.lock_shard(Self::shard(test_fp));
+            let row = shard.get(&test_fp);
+            for (i, id) in ids.0.iter().enumerate() {
+                let cell = row.zip(*id).and_then(|(row, id)| row.get(id));
+                if let Some((_, durable)) = cell {
+                    disk += u64::from(durable);
+                    ram += u64::from(!durable);
                 }
+                visit(i, cell.map(|(allowed, _)| allowed));
             }
         }
-        self.hits_ram.fetch_add(out.hits_ram, Ordering::Relaxed);
-        self.hits_disk.fetch_add(out.hits_disk, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.observe_lookups(out.hits_ram, out.hits_disk, misses);
-        out
+        self.count_lookups(ram, disk, ids.0.len() as u64 - ram - disk);
+        (ram, disk)
     }
 
     /// Records a verdict (RAM tier; written through to the sink when one
     /// is installed and the verdict is new).
     pub fn insert(&self, key: Key, allowed: bool) {
-        let fresh = {
-            let mut shard = self.lock_shard(Self::shard(key));
-            let prev = shard.insert(
-                key,
-                Slot {
-                    allowed,
-                    durable: false,
-                },
-            );
-            prev.is_none_or(|slot| slot.allowed != allowed)
-        };
-        if fresh {
-            self.persist(&[(key, allowed)]);
-        }
+        self.merge([(key, allowed)]);
     }
 
     /// Merges a batch of verdicts (one worker's sweep-local results),
-    /// grouping by shard so each lock is taken at most once. Entries not
+    /// taking each shard lock once per run of cells in it. Entries not
     /// already present (or present with a different verdict) are written
     /// through to the durable sink as one batch.
     pub fn merge(&self, batch: impl IntoIterator<Item = (Key, bool)>) {
-        let mut by_shard: [Vec<(Key, bool)>; SHARDS] = Default::default();
-        for (key, allowed) in batch {
-            by_shard[Self::shard(key)].push((key, allowed));
+        let fresh = self.write_cells(batch, false);
+        if let (false, Some(sink)) = (fresh.is_empty(), self.sink.get()) {
+            sink.persist(&fresh);
         }
-        let mut fresh: Vec<(Key, bool)> = Vec::new();
-        for (i, entries) in by_shard.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let mut shard = self.lock_shard(i);
-            for (key, allowed) in entries {
-                let prev = shard.insert(
-                    key,
-                    Slot {
-                        allowed,
-                        durable: false,
-                    },
-                );
-                if prev.is_none_or(|slot| slot.allowed != allowed) {
-                    fresh.push((key, allowed));
-                }
-            }
-        }
-        self.persist(&fresh);
     }
 
-    /// Number of memoized pairs.
+    /// Number of memoized (model, test) pairs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.entries.load(Ordering::Relaxed) as usize
     }
 
     /// Whether the cache holds no entries.
@@ -401,11 +408,13 @@ impl VerdictCache {
     }
 
     /// Drops all entries and statistics (the sink, if any, stays
-    /// installed).
+    /// installed, and so does the model-id table, so resolved
+    /// [`ModelIds`] stay valid).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
-        }
+        let mut guards: Vec<_> = (0..SHARDS).map(|i| self.lock_shard(i)).collect();
+        guards.iter_mut().for_each(|shard| shard.clear());
+        self.entries.store(0, Ordering::Relaxed);
+        drop(guards);
         self.hits_ram.store(0, Ordering::Relaxed);
         self.hits_disk.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -417,6 +426,15 @@ impl VerdictCache {
 mod tests {
     use super::*;
     use mcm_core::Formula;
+
+    /// Collects one row lookup as a verdict vector.
+    fn row(cache: &VerdictCache, model_fps: &[u64], test_fp: u64) -> (Vec<Option<bool>>, u64, u64) {
+        let mut verdicts = vec![None; model_fps.len()];
+        let (ram, disk) = cache.lookup_row(&cache.model_ids(model_fps), test_fp, |i, v| {
+            verdicts[i] = v;
+        });
+        (verdicts, ram, disk)
+    }
 
     #[test]
     fn get_insert_roundtrip_and_stats() {
@@ -438,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn get_row_matches_per_key_lookups() {
+    fn row_lookup_matches_per_key_lookups() {
         let cache = VerdictCache::new();
         let model_fps: Vec<u64> = (0..40).collect();
         for &m in &model_fps {
@@ -446,14 +464,31 @@ mod tests {
                 cache.insert((m, 7), m % 2 == 0);
             }
         }
-        let row = cache.get_row(&model_fps, 7);
+        let (verdicts, _, _) = row(&cache, &model_fps, 7);
         for (i, &m) in model_fps.iter().enumerate() {
             let expected = (m % 3 != 0).then_some(m % 2 == 0);
-            assert_eq!(row[i], expected, "row lookup differs at model {m}");
+            assert_eq!(verdicts[i], expected, "row lookup differs at model {m}");
         }
         // 40 lookups: hits for the inserted keys, misses for the rest.
         assert_eq!(cache.hits() + cache.misses(), 40);
-        assert_eq!(cache.misses(), model_fps.iter().filter(|m| *m % 3 == 0).count() as u64);
+        assert_eq!(
+            cache.misses(),
+            model_fps.iter().filter(|m| *m % 3 == 0).count() as u64
+        );
+    }
+
+    #[test]
+    fn lookups_never_grow_the_model_table() {
+        let cache = VerdictCache::new();
+        let _ = cache.get((42, 1));
+        let ids = cache.model_ids(&[42, 43]);
+        assert!(ids.0.iter().all(Option::is_none));
+        assert!(cache.ids.read().unwrap().is_empty());
+        // Ids resolved before a model's first write keep reading misses.
+        cache.insert((42, 1), true);
+        let (ram, disk) = cache.lookup_row(&ids, 1, |_, v| assert_eq!(v, None));
+        assert_eq!((ram, disk), (0, 0));
+        assert_eq!(row(&cache, &[42, 43], 1).0, vec![Some(true), None]);
     }
 
     #[test]
@@ -495,15 +530,16 @@ mod tests {
         assert_eq!(cache.get((5, 6)), Some(true));
         assert_eq!(cache.hits_disk(), 2);
         assert_eq!(cache.hits_ram(), 1);
-        let row = {
-            let cache = VerdictCache::new();
-            cache.hydrate([((1, 7), true)]);
-            cache.insert((2, 7), false);
-            cache.get_row_tiered(&[1, 2, 3], 7)
-        };
-        assert_eq!(row.verdicts, vec![Some(true), Some(false), None]);
-        assert_eq!(row.hits_disk, 1);
-        assert_eq!(row.hits_ram, 1);
+        let cache = VerdictCache::new();
+        cache.hydrate([((1, 7), true)]);
+        cache.insert((2, 7), false);
+        let (verdicts, ram, disk) = row(&cache, &[1, 2, 3], 7);
+        assert_eq!(verdicts, vec![Some(true), Some(false), None]);
+        assert_eq!((ram, disk), (1, 1));
+        // Rewriting a hydrated cell, even with its own verdict, moves it
+        // to the RAM tier.
+        cache.insert((1, 7), true);
+        assert_eq!(row(&cache, &[1], 7).1, 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use mcm_analyze::SweepPrefilter;
 use mcm_axiomatic::{BatchChecker, BatchStats, Checker, EdgeSet};
@@ -312,8 +313,10 @@ struct GridOutcome {
 /// The shared sweep core, test-major: the unit of parallel work is a
 /// **test row** — one execution checked against every distinct-formula
 /// model at once through a [`BatchChecker`] — scheduled work-stealing
-/// across workers. Cache lookups are row-keyed ([`VerdictCache::get_row`]
-/// takes each shard lock once per row) and only the missing models of a
+/// across workers. Cache lookups are row-keyed: the model fingerprints
+/// resolve to cache ids once per call, and each test row then costs one
+/// shard lock and one probe ([`VerdictCache::lookup_row`]), its verdicts
+/// landing straight in the result slots; only the missing models of a
 /// row reach the checker. Layer 3 is the test's one model quotient: with
 /// a [`SweepPrefilter`] the missing rows are grouped by the program-order
 /// pairs their formulas force, read off the prefilter's truth tables, and
@@ -364,10 +367,13 @@ where
     let checker_calls = AtomicU64::new(0);
     let prefilter_groups = AtomicU64::new(0);
     let prefilter_saved = AtomicU64::new(0);
+    let lookup = cache.map(|cache| (cache, cache.model_ids(&rows.model_fps)));
 
     let sweep = |local_batch: &mut Vec<((u64, u64), bool)>, checker: &dyn BatchChecker| {
         let mut hits = 0u64;
         let mut disk_hits = 0u64;
+        // Row-lookup time, summed here and recorded once per worker.
+        let mut lookup_time = Duration::ZERO;
         let mut calls = 0u64;
         let mut groups_formed = 0u64;
         let mut saved = 0u64;
@@ -381,20 +387,19 @@ where
             let end = (start + batch).min(reps);
             for rep in start..end {
                 missing_rows.clear();
-                match cache {
-                    Some(cache) => {
-                        let lookup = cache.get_row_tiered(&rows.model_fps, fps[rep]);
-                        hits += lookup.hits_ram + lookup.hits_disk;
-                        disk_hits += lookup.hits_disk;
-                        for (row, memoized) in lookup.verdicts.into_iter().enumerate() {
+                match &lookup {
+                    Some((cache, ids)) => {
+                        let start = Instant::now();
+                        let (ram, disk) = cache.lookup_row(ids, fps[rep], |row, memoized| {
                             match memoized {
-                                Some(allowed) => {
-                                    results[row * reps + rep]
-                                        .store(if allowed { 2 } else { 1 }, Ordering::Relaxed);
-                                }
+                                Some(allowed) => results[row * reps + rep]
+                                    .store(if allowed { 2 } else { 1 }, Ordering::Relaxed),
                                 None => missing_rows.push(row),
                             }
-                        }
+                        });
+                        lookup_time += start.elapsed();
+                        hits += ram + disk;
+                        disk_hits += disk;
                     }
                     None => missing_rows.extend(0..row_count),
                 }
@@ -450,6 +455,10 @@ where
                     }
                 }
             }
+        }
+        if lookup.is_some() && mcm_obs::enabled() {
+            mcm_obs::metrics::histogram("mcm_cache_lookup_us", &[])
+                .record(lookup_time.as_micros() as u64);
         }
         cache_hits.fetch_add(hits, Ordering::Relaxed);
         cache_hits_disk.fetch_add(disk_hits, Ordering::Relaxed);

@@ -65,7 +65,7 @@ use std::time::Duration;
 
 use mcm_explore::{EngineConfig, VerdictCache};
 use mcm_query::wire::{QuerySpec, WireRequest};
-use mcm_query::{Format, TestSource};
+use mcm_query::{Format, QueryError, TestSource};
 use mcm_store::DiskCache;
 
 pub mod client;
@@ -391,7 +391,10 @@ fn execute(state: &ServeState, body: &[u8]) -> Response {
     match ran {
         Err(_) => Response::error(500, "query execution panicked; see server logs"),
         Ok(Err(error)) => {
-            let status = if error.is_usage() { 400 } else { 500 };
+            // The wire admits no file sources, so a parse error is always
+            // the request's own inline text: a client error.
+            let client_error = error.is_usage() || matches!(error, QueryError::Parse(_));
+            let status = if client_error { 400 } else { 500 };
             Response::error(status, &error.to_string())
         }
         Ok(Ok(outcome)) => {

@@ -244,6 +244,37 @@ fn an_oversized_stream_bound_is_a_400_and_the_server_keeps_answering() {
     runner.join().expect("clean shutdown");
 }
 
+#[test]
+fn an_over_long_litmus_expression_is_a_400_and_the_server_keeps_answering() {
+    // A 60,000-term `write X = 1+1+…` once nested the parsed expression
+    // once per term and overflowed a worker's stack, aborting the
+    // server; the ~120 KB body is well under the default body cap.
+    let server = Server::bind(ServerConfig {
+        read_timeout: Duration::from_millis(300),
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let runner = std::thread::spawn(move || server.run().expect("server runs"));
+    let expr = vec!["1"; 60_000].join("+");
+    let litmus = format!("test Long {{ thread {{ write X = {expr} }} outcome {{ }} }}");
+    let body = format!(
+        r#"{{"query": "check", "model": "TSO", "tests": {{"inline": "{litmus}"}}}}"#
+    );
+    let response = client::post_query(addr, &body).expect("answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("terms"), "{}", response.body);
+    assert_error_document(&response.body, 400);
+    assert_healthy(addr);
+    let ok = client::post_query(addr, r#"{"query": "compare", "left": "TSO", "right": "x86"}"#)
+        .expect("answered");
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    handle.shutdown();
+    runner.join().expect("clean shutdown");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -6,8 +6,9 @@
 //! fresh verdicts the cache absorbs is appended to the log as one
 //! checksummed frame. The write path is an optimization, never a
 //! correctness dependency: append errors are counted and the in-RAM
-//! cache keeps serving; torn tails from a crash are shed on the next
-//! open.
+//! cache keeps serving; a failed append is cut back off the log so
+//! later frames stay readable, and torn tails from a crash are shed on
+//! the next open.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -210,6 +211,17 @@ mod tests {
         dir.join(format!("{name}-{}.log", std::process::id()))
     }
 
+    /// One row lookup: the verdicts and the `(ram, disk)` hit split.
+    fn lookup_row(
+        cache: &VerdictCache,
+        model_fps: &[u64],
+        test_fp: u64,
+    ) -> (Vec<Option<bool>>, (u64, u64)) {
+        let mut verdicts = vec![None; model_fps.len()];
+        let tiers = cache.lookup_row(&cache.model_ids(model_fps), test_fp, |i, v| verdicts[i] = v);
+        (verdicts, tiers)
+    }
+
     #[test]
     fn verdicts_survive_a_reopen_as_disk_tier_hits() {
         let path = temp_path("reopen");
@@ -224,18 +236,18 @@ mod tests {
             assert_eq!(stats.flushes, 2);
             assert_eq!(stats.write_errors, 0);
             // First-process lookups are RAM-tier.
-            let row = store.cache().get_row_tiered(&[11, 22], 101);
-            assert_eq!((row.hits_ram, row.hits_disk), (2, 0));
+            let (_, tiers) = lookup_row(store.cache(), &[11, 22], 101);
+            assert_eq!(tiers, (2, 0));
         }
         let store = DiskCache::open(&path).unwrap();
         let stats = store.stats();
         assert_eq!(stats.hydrated, 2);
         assert_eq!(stats.appended, 0);
         assert!(!stats.recovered_tail);
-        let row = store.cache().get_row_tiered(&[11, 22], 101);
-        assert_eq!(row.verdicts, vec![Some(true), Some(false)]);
+        let (verdicts, tiers) = lookup_row(store.cache(), &[11, 22], 101);
+        assert_eq!(verdicts, vec![Some(true), Some(false)]);
         assert_eq!(
-            (row.hits_ram, row.hits_disk),
+            tiers,
             (0, 2),
             "hydrated entries answer from the disk tier"
         );
@@ -258,6 +270,32 @@ mod tests {
             store.cache().merge([((1, 2), true)]);
             assert_eq!(store.stats().appended, 0);
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_counts_as_a_write_error_and_later_verdicts_persist() {
+        let path = temp_path("write-error");
+        let _ = std::fs::remove_file(&path);
+        {
+            let store = DiskCache::open(&path).unwrap();
+            store.cache().insert((1, 10), true);
+            store
+                .sink
+                .writer
+                .lock()
+                .unwrap()
+                .inject_fault(crate::log::Fault::TornWrite(7));
+            store.cache().insert((2, 10), false);
+            store.cache().insert((3, 10), true);
+            let stats = store.stats();
+            assert_eq!((stats.appended, stats.flushes, stats.write_errors), (2, 2, 1));
+        }
+        let store = DiskCache::open(&path).unwrap();
+        assert!(!store.stats().recovered_tail);
+        assert_eq!(store.stats().hydrated, 2);
+        assert_eq!(store.cache().get((3, 10)), Some(true), "written after the fault");
+        assert_eq!(store.cache().get((2, 10)), None, "the failed batch is lost, alone");
         std::fs::remove_file(&path).unwrap();
     }
 

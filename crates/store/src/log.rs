@@ -250,6 +250,22 @@ pub struct LogWriter {
     file: File,
     path: PathBuf,
     bytes: u64,
+    /// Set when a failed append left bytes past [`LogWriter::bytes`]
+    /// that could not be cut away: appending after them would put every
+    /// later frame behind a torn one, where a reopen drops it.
+    poisoned: bool,
+    #[cfg(test)]
+    fault: Option<Fault>,
+}
+
+/// A write failure [`LogWriter::append_batch`] injects in tests.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Fault {
+    /// The next frame write stores its first `n` bytes, then fails.
+    TornWrite(usize),
+    /// As `TornWrite`, and the repair that follows fails too.
+    TornWriteUnrepairable(usize),
 }
 
 impl LogWriter {
@@ -281,6 +297,9 @@ impl LogWriter {
                 file,
                 path: path.to_path_buf(),
                 bytes,
+                poisoned: false,
+                #[cfg(test)]
+                fault: None,
             },
         ))
     }
@@ -289,14 +308,61 @@ impl LogWriter {
     /// The frame is handed to the OS in a single write, so a process
     /// crash leaves either the whole frame or a checksummed-detectable
     /// tear — never a silently half-applied batch.
+    ///
+    /// A write that fails part-way (`ENOSPC`, `EIO`) may leave part of
+    /// the frame on disk. The writer then truncates the file back to the
+    /// last good frame, so later frames land on a valid boundary instead
+    /// of behind a tear that a reopen would cut them off with. If that
+    /// repair fails too, the writer is poisoned: every later append
+    /// returns an error and writes nothing.
     pub fn append_batch(&mut self, records: &[Record]) -> io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
+        if self.poisoned {
+            return Err(io::Error::other(format!(
+                "{}: an earlier append failed and its torn bytes could not be removed",
+                self.path.display()
+            )));
+        }
         let frame = encode_frame(records);
-        self.file.write_all(&frame)?;
+        if let Err(error) = self.write_frame(&frame) {
+            if self.repair().is_err() {
+                self.poisoned = true;
+            }
+            return Err(error);
+        }
         self.bytes += frame.len() as u64;
         Ok(())
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(Fault::TornWrite(n) | Fault::TornWriteUnrepairable(n)) = self.fault {
+            self.file.write_all(&frame[..n.min(frame.len())])?;
+            return Err(io::Error::other("injected write fault"));
+        }
+        self.file.write_all(frame)
+    }
+
+    /// Cuts the file back to the last good frame and positions the next
+    /// write there.
+    fn repair(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(fault) = self.fault.take() {
+            if matches!(fault, Fault::TornWriteUnrepairable(_)) {
+                return Err(io::Error::other("injected repair fault"));
+            }
+        }
+        self.file.set_len(self.bytes)?;
+        self.file.seek(SeekFrom::Start(self.bytes))?;
+        Ok(())
+    }
+
+    /// Makes the next append fail as `fault` says.
+    #[cfg(test)]
+    pub(crate) fn inject_fault(&mut self, fault: Fault) {
+        self.fault = Some(fault);
     }
 
     /// Forces everything appended so far to stable storage.
@@ -413,6 +479,51 @@ mod tests {
         let mut expected = sample(4);
         expected.extend(sample(1));
         assert_eq!(back.records, expected);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_does_not_strand_later_frames() {
+        let path = temp_path("torn-append");
+        let _ = std::fs::remove_file(&path);
+        let (_, mut writer) = LogWriter::append(&path).unwrap();
+        writer.append_batch(&sample(4)).unwrap();
+        let good = writer.bytes();
+        writer.inject_fault(Fault::TornWrite(10));
+        assert!(writer.append_batch(&sample(2)).is_err());
+        assert_eq!(writer.bytes(), good);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), good, "torn bytes cut away");
+        writer.append_batch(&sample(3)).unwrap();
+        drop(writer);
+        let back = read_log(&path).unwrap();
+        assert!(back.tail.is_none());
+        let mut expected = sample(4);
+        expected.extend(sample(3));
+        assert_eq!(back.records, expected, "the frame after the fault survives");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_unrepairable_append_poisons_the_writer() {
+        let path = temp_path("poisoned");
+        let _ = std::fs::remove_file(&path);
+        let (_, mut writer) = LogWriter::append(&path).unwrap();
+        writer.append_batch(&sample(4)).unwrap();
+        let good = writer.bytes();
+        writer.inject_fault(Fault::TornWriteUnrepairable(10));
+        assert!(writer.append_batch(&sample(2)).is_err());
+        let torn = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(torn, good + 10);
+        // Poisoned: later appends fail and write nothing.
+        assert!(writer.append_batch(&sample(3)).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), torn);
+        assert!(writer.append_batch(&[]).is_ok(), "empty batches stay no-ops");
+        drop(writer);
+        // The reopen sheds the tear and keeps every frame before it.
+        let (contents, writer) = LogWriter::append(&path).unwrap();
+        assert_eq!(contents.records, sample(4));
+        assert_eq!(contents.tail, Some(TailError::Truncated { offset: good }));
+        assert_eq!(writer.bytes(), good);
         std::fs::remove_file(&path).unwrap();
     }
 
