@@ -6,6 +6,7 @@ use mcm_axiomatic::{Checker, ExplicitChecker, MonolithicSatChecker, SatChecker};
 use mcm_core::{
     ArgPos, Atom, Formula, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg, ThreadId, Value,
 };
+use mcm_models::{catalog, named};
 use proptest::prelude::*;
 
 /// A pool of structurally diverse must-not-reorder functions: the named
@@ -118,6 +119,22 @@ fn build_test(threads: &[Vec<Step>]) -> Option<LitmusTest> {
     }
     let program = builder.build().ok()?;
     LitmusTest::new("random", program, outcome).ok()
+}
+
+/// Every catalog test (Test A, L1–L9 and the classics) under SC, TSO and
+/// RMO: the named models rather than the pool's approximations.
+#[test]
+fn checkers_agree_on_the_catalog() {
+    for test in catalog::all_tests() {
+        for model in [named::sc(), named::tso(), named::rmo()] {
+            let explicit = ExplicitChecker::new().check(&model, &test);
+            let sat = SatChecker::new().check(&model, &test);
+            let monolithic = MonolithicSatChecker::new().check(&model, &test);
+            let label = format!("{} under {}", test.name(), model.name());
+            assert_eq!(explicit.allowed, sat.allowed, "{label}");
+            assert_eq!(sat.allowed, monolithic.allowed, "{label}");
+        }
+    }
 }
 
 proptest! {

@@ -439,7 +439,18 @@ fn explore_stream(args: &[String]) -> Result<(), CliError> {
     }
     let report = query.run()?;
     emit(&report, args)?;
-    write_side_outputs(&report, args)
+    write_side_outputs(&report, args)?;
+    // Failed appends and saves do not stop the sweep, whose verdicts are
+    // delivered above; the exit status still says the disk lost work.
+    let write_errors = report.store.as_ref().map_or(0, |s| s.write_errors);
+    let save_errors = report.checkpoint.as_ref().map_or(0, |c| c.save_errors);
+    if write_errors + save_errors > 0 {
+        return Err(CliError::Run(format!(
+            "persisted work was lost: {write_errors} verdict-log write errors, \
+             {save_errors} checkpoint save errors"
+        )));
+    }
+    Ok(())
 }
 
 const EXPLORE_SPEC: ArgSpec = ArgSpec {

@@ -653,6 +653,30 @@ fn explore_stream_store_survives_across_runs() {
 }
 
 #[test]
+fn explore_stream_exits_1_when_checkpoint_saves_fail() {
+    let dir = std::env::temp_dir().join(format!("mcm-cli-lost-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("missing-dir").join("ck");
+    let out = dir.join("report.txt");
+    let output = Command::new(env!("CARGO_BIN_EXE_mcm"))
+        .args(["explore", "--stream", "--limit", "200", "--checkpoint"])
+        .arg(&ckpt)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: "), "{stderr}");
+    assert!(stderr.contains("checkpoint save errors"), "{stderr}");
+    // The sweep's verdicts are still delivered, and the report names the
+    // failed saves.
+    let report = std::fs::read_to_string(&out).expect("the report is written");
+    assert!(report.contains("save errors"), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn explore_stream_resumes_from_a_checkpoint_bit_identically() {
     use mcm_core::json::Json;
     let dir = std::env::temp_dir().join("mcm-cli-ckpt-test");

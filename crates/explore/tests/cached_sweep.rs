@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use mcm_axiomatic::{BatchChecker, Checker, ExplicitChecker, Verdict};
 use mcm_core::{Execution, MemoryModel};
-use mcm_explore::{cache::VerdictCache, EngineConfig, Exploration};
+use mcm_explore::{cache::VerdictCache, paper, EngineConfig, Exploration};
+use mcm_gen::canon;
 use mcm_models::{catalog, named};
 
 /// An explicit checker that counts its invocations.
@@ -27,56 +28,70 @@ impl Checker for CountingChecker {
     }
 }
 
-fn space() -> (Vec<MemoryModel>, Vec<mcm_core::LitmusTest>) {
-    (
-        vec![
-            named::sc(),
-            named::tso(),
-            named::x86(),
-            named::pso(),
-            named::ibm370(),
-            named::rmo(),
-        ],
-        catalog::all_tests(),
-    )
+/// The named models on the catalog, and the §4.2 space: all 90 digit
+/// models on the comparison suite.
+fn spaces() -> [(Vec<MemoryModel>, Vec<mcm_core::LitmusTest>); 2] {
+    [
+        (
+            vec![
+                named::sc(),
+                named::tso(),
+                named::x86(),
+                named::pso(),
+                named::ibm370(),
+                named::rmo(),
+            ],
+            catalog::all_tests(),
+        ),
+        (
+            paper::digit_space_models(true),
+            paper::comparison_tests(true),
+        ),
+    ]
 }
 
 #[test]
 fn second_sweep_hits_the_cache_for_every_pair() {
-    let (models, tests) = space();
-    let cache = VerdictCache::new();
-    let calls = Arc::new(AtomicU64::new(0));
-    let factory = || {
-        Box::new(CountingChecker {
-            inner: ExplicitChecker::new(),
-            calls: Arc::clone(&calls),
-        }) as Box<dyn BatchChecker>
-    };
-    let config = EngineConfig::canonicalizing();
+    for (models, tests) in spaces() {
+        let cache = VerdictCache::new();
+        let calls = Arc::new(AtomicU64::new(0));
+        let factory = || {
+            Box::new(CountingChecker {
+                inner: ExplicitChecker::new(),
+                calls: Arc::clone(&calls),
+            }) as Box<dyn BatchChecker>
+        };
+        let config = EngineConfig::canonicalizing();
 
-    let (first, first_stats) =
-        Exploration::run_engine(models.clone(), tests.clone(), factory, &config, Some(&cache));
-    let first_calls = calls.load(Ordering::Relaxed);
-    assert!(first_calls > 0, "cold sweep must invoke the checker");
-    assert_eq!(first_stats.checker_calls, first_calls);
-    assert_eq!(first_stats.cache_hits, 0, "cold cache cannot hit");
-    // The prefilter fans each group verdict out to every member, so the
-    // cache holds one entry per (row, test) pair, not per checker call.
-    assert_eq!(
-        cache.len() as u64,
-        first_stats.checker_calls + first_stats.prefilter_saved_calls
-    );
+        let (first, first_stats) = Exploration::run_engine(
+            models.clone(),
+            tests.clone(),
+            factory,
+            &config,
+            Some(&cache),
+        );
+        let first_calls = calls.load(Ordering::Relaxed);
+        assert!(first_calls > 0, "cold sweep must invoke the checker");
+        assert_eq!(first_stats.checker_calls, first_calls);
+        assert_eq!(first_stats.cache_hits, 0, "cold cache cannot hit");
+        // The prefilter fans each group verdict out to every member, so the
+        // cache holds one entry per (row, test) pair, not per checker call.
+        assert_eq!(
+            cache.len() as u64,
+            first_stats.checker_calls + first_stats.prefilter_saved_calls
+        );
 
-    let (second, second_stats) =
-        Exploration::run_engine(models, tests, factory, &config, Some(&cache));
-    let second_calls = calls.load(Ordering::Relaxed) - first_calls;
-    assert_eq!(
-        second_stats.checker_calls, 0,
-        "warm sweep must answer everything from the cache"
-    );
-    assert_eq!(second_calls, 0, "checker was invoked despite a warm cache");
-    assert_eq!(second_stats.cache_hits, second_stats.unique_pairs);
-    assert_eq!(first.verdicts, second.verdicts);
+        let (second, second_stats) =
+            Exploration::run_engine(models, tests, factory, &config, Some(&cache));
+        let second_calls = calls.load(Ordering::Relaxed) - first_calls;
+        assert_eq!(
+            second_stats.checker_calls, 0,
+            "warm sweep must answer everything from the cache"
+        );
+        assert_eq!(second_calls, 0, "checker was invoked despite a warm cache");
+        assert_eq!(second_stats.cache_hits, second_stats.unique_pairs);
+        assert_eq!(first.verdicts, second.verdicts);
+    }
 }
 
 #[test]
@@ -115,7 +130,10 @@ fn cache_is_shared_across_different_model_subsets() {
 #[test]
 fn canonicalization_reduces_unique_pairs_on_the_paper_suite() {
     let models = vec![named::sc(), named::tso()];
-    let tests = mcm_explore::paper::comparison_tests(true);
+    let tests = paper::comparison_tests(true);
+    // The suite itself holds symmetric copies: its catalog tests are
+    // variants of template instances.
+    assert!(canon::dedup(&tests).dedup_ratio() > 1.0);
     let total = (models.len() * tests.len()) as u64;
     let (_, stats) = Exploration::run_engine(
         models,

@@ -8,18 +8,19 @@
 //! class (Theorem 1 / Corollary 1). `elision_theorem_exhaustive` covers
 //! the *whole* finite domain of Theorem A, so the elision rule is
 //! machine-verified, not sampled. The sweep prefilter's per-test model
-//! quotient is checked against the checker's own forced-pair grouping.
+//! quotient is checked against the checker's own forced-pair grouping,
+//! and the prefiltered 90-model streamed sweep against the unfiltered one.
 
 use mcm_analyze::{
     elidable, minimized_dnf, AtomUniverse, StrengthAnalysis, SweepPrefilter, TruthTable,
 };
 use mcm_axiomatic::hb::forced_po_pairs;
-use mcm_axiomatic::ExplicitChecker;
+use mcm_axiomatic::{BatchExplicitChecker, ExplicitChecker};
 use mcm_core::formula::{ArgPos, Atom, Formula};
 use mcm_core::{
     Execution, LitmusTest, Loc, MemoryModel, Outcome, Program, Reg, RegExpr, ThreadId, Value,
 };
-use mcm_explore::space::Exploration;
+use mcm_explore::space::{EngineConfig, Exploration};
 use mcm_gen::stream::{leaders, StreamBounds};
 use mcm_models::DigitModel;
 use proptest::prelude::*;
@@ -221,6 +222,45 @@ fn assert_quotient_is_forced_pair_grouping(
     for (members, (rep, _)) in groups.iter().zip(&quotient.groups) {
         assert_eq!(members[0], *rep);
     }
+}
+
+/// The prefilter never changes a verdict, and the engine's accounting
+/// balances: every call it saves is a call the unfiltered sweep makes.
+/// Over the first 1,000 leaders of the 90-model streamed sweep.
+#[test]
+fn prefilter_is_bit_identical_and_its_savings_balance() {
+    let bounds = StreamBounds {
+        max_accesses_per_thread: 2,
+        threads: 2,
+        max_locs: 2,
+        include_fences: true,
+        include_deps: true,
+    };
+    let sweep = |prefilter: bool| {
+        Exploration::run_engine_streaming(
+            mcm_explore::paper::digit_space_models(true),
+            leaders(&bounds).take(1_000),
+            || Box::new(BatchExplicitChecker::new()),
+            &EngineConfig {
+                prefilter,
+                ..EngineConfig::default()
+            },
+            None,
+        )
+    };
+    let (on, on_stats) = sweep(true);
+    let (off, off_stats) = sweep(false);
+    assert_eq!(on.models.len(), 90);
+    assert_eq!(on.tests.len(), off.tests.len());
+    for (row, (a, b)) in on.verdicts.iter().zip(&off.verdicts).enumerate() {
+        let model = on.models[row].name();
+        assert_eq!(a, b, "prefilter changed the verdicts of {model}");
+    }
+    assert_eq!(off_stats.prefilter_saved_calls, 0);
+    assert_eq!(
+        on_stats.checker_calls + on_stats.prefilter_saved_calls,
+        off_stats.checker_calls,
+    );
 }
 
 proptest! {

@@ -13,11 +13,15 @@
 //!    batched backends and the per-cell adapter;
 //! 4. **Restriction** — the 90-model streamed sweep, restricted to the 36
 //!    dependency-free models, reproduces the Figure-4 sweep exactly, row
-//!    for row.
+//!    for row;
+//! 5. **Sweep agreement** — the whole single-threaded Figure-4 sweep gives
+//!    the same verdicts and checker-call count through the batched and
+//!    the per-cell checkers, explicit and SAT alike.
 
 use mcm_analyze::SweepPrefilter;
 use mcm_axiomatic::{
     BatchChecker, BatchExplicitChecker, BatchSatChecker, Checker, EdgeSet, ExplicitChecker,
+    SatChecker,
 };
 use mcm_core::{LitmusTest, MemoryModel};
 use mcm_explore::paper;
@@ -197,4 +201,31 @@ fn ninety_model_sweep_restricts_to_the_figure4_sweep() {
             model.name()
         );
     }
+}
+
+/// The engine-level form of property 1: the Figure-4 sweep (36 models,
+/// the whole comparison suite for the explicit pair, its first 12 tests
+/// for the slower SAT pair) through per-cell and batched checkers.
+#[test]
+fn figure4_sweep_is_bit_identical_batched_and_per_cell() {
+    let config = EngineConfig {
+        jobs: Some(1),
+        ..EngineConfig::default()
+    };
+    let sweep = |tests: Vec<LitmusTest>, factory: fn() -> Box<dyn BatchChecker>| {
+        let models = paper::digit_space_models(false);
+        Exploration::run_engine(models, tests, factory, &config, None)
+    };
+    let tests = paper::comparison_tests(false);
+    let (per_cell, per_cell_stats) = sweep(tests.clone(), || Box::new(ExplicitChecker::new()));
+    let (batched, batched_stats) = sweep(tests.clone(), || Box::new(BatchExplicitChecker::new()));
+    assert_eq!(per_cell.verdicts, batched.verdicts);
+    assert_eq!(per_cell_stats.checker_calls, batched_stats.checker_calls);
+    assert!(batched_stats.batch.rows > 0, "the batched path must batch");
+
+    let head: Vec<LitmusTest> = tests.into_iter().take(12).collect();
+    let (per_cell, _) = sweep(head.clone(), || Box::new(SatChecker::new()));
+    let (batched, batched_stats) = sweep(head, || Box::new(BatchSatChecker::new()));
+    assert_eq!(per_cell.verdicts, batched.verdicts);
+    assert!(batched_stats.batch.assumption_solves > 0);
 }

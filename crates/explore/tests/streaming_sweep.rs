@@ -3,15 +3,14 @@
 //! the streaming core fed one chunk, so its verdicts equal the sequential
 //! oracle's and its counters equal a one-chunk stream's.
 //!
-//! The CI streaming-smoke job runs this file on tiny bounds; the
-//! `streaming_sweep` bench re-asserts the same identity on larger bounds
-//! before timing the two pipelines.
+//! Past the materializable bounds, streamed prefixes of the size-3 and
+//! size-4 spaces must never split a pair of truly equivalent models.
 
 use std::collections::HashMap;
 
 use mcm_axiomatic::{BatchChecker, BatchExplicitChecker, ExplicitChecker};
 use mcm_core::{LitmusTest, MemoryModel};
-use mcm_explore::{paper, EngineConfig, Exploration, VerdictCache};
+use mcm_explore::{paper, EngineConfig, Exploration, Relation, VerdictCache};
 use mcm_gen::stream::{self, StreamBounds};
 use mcm_gen::{canon, naive};
 use mcm_models::{catalog, named, DigitModel};
@@ -147,6 +146,48 @@ fn chunk_size_does_not_change_the_outcome() {
     assert_eq!(a.verdicts, b.verdicts);
     assert_eq!(a.verdicts, c.verdicts);
     assert_eq!(a.tests.len(), b.tests.len());
+}
+
+/// The title question one step past Theorem 1, on 2,000-leader prefixes
+/// of the size-3 and size-4 spaces (fences and the `r - r + k` idiom
+/// included). Models equivalent on the complete template suite are
+/// equivalent on every test of the class, so a split here is an engine
+/// or stream bug, not a refutation of the paper.
+#[test]
+fn streamed_prefixes_never_split_truly_equivalent_models() {
+    let models = paper::digit_space_models(false);
+    let (truth, _) = Exploration::run_engine(
+        models.clone(),
+        paper::comparison_tests(false),
+        factory,
+        &EngineConfig::default(),
+        None,
+    );
+    let size3 = StreamBounds {
+        max_accesses_per_thread: 3,
+        threads: 2,
+        max_locs: 2,
+        include_fences: true,
+        include_deps: true,
+    };
+    for bounds in [size3, StreamBounds::size4(2)] {
+        let (prefix, _) = Exploration::run_engine_streaming(
+            models.clone(),
+            stream::leaders(&bounds).take(2_000),
+            factory,
+            &EngineConfig::default(),
+            None,
+        );
+        for (i, j) in truth.equivalent_pairs() {
+            assert_eq!(
+                prefix.relation(i, j),
+                Relation::Equivalent,
+                "{bounds:?} split the truly equivalent pair {} == {}",
+                truth.models[i].name(),
+                truth.models[j].name(),
+            );
+        }
+    }
 }
 
 /// Suites with exact duplicates and symmetric variants: the catalog

@@ -69,9 +69,13 @@ impl std::fmt::Display for StoreSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "store: {} ({} hydrated, {} appended, {} bytes)",
+            "store: {} ({} hydrated, {} appended, {} bytes",
             self.path, self.hydrated, self.appended, self.bytes,
-        )
+        )?;
+        if self.write_errors > 0 {
+            write!(f, ", {} write errors", self.write_errors)?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -169,9 +173,13 @@ impl SweepReport {
                 Some(cursor) => format!(", resumed at leader {cursor}"),
                 None => String::new(),
             };
+            let failed = match ckpt.save_errors {
+                0 => String::new(),
+                n => format!(", {n} save errors"),
+            };
             let _ = writeln!(
                 out,
-                "checkpoint: {} ({} saves{resumed})",
+                "checkpoint: {} ({} saves{failed}{resumed})",
                 ckpt.path, ckpt.saves,
             );
         }

@@ -849,26 +849,26 @@ mod tests {
     }
 
     #[test]
-    fn pigeonhole_five_into_four_is_unsat() {
-        let n = 5usize;
-        let m = 4usize;
-        let mut s = Solver::new();
-        let vars: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..m).map(|_| s.new_var()).collect())
-            .collect();
-        for row in &vars {
-            let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
-            s.add_clause(&clause);
-        }
-        for j in 0..m {
-            for (i, row) in vars.iter().enumerate() {
-                for other in vars.iter().skip(i + 1) {
-                    s.add_clause(&[row[j].negative(), other[j].negative()]);
+    fn pigeonhole_n_into_n_minus_one_is_unsat() {
+        for (n, m) in [(5usize, 4usize), (6, 5)] {
+            let mut s = Solver::new();
+            let vars: Vec<Vec<Var>> = (0..n)
+                .map(|_| (0..m).map(|_| s.new_var()).collect())
+                .collect();
+            for row in &vars {
+                let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+                s.add_clause(&clause);
+            }
+            for j in 0..m {
+                for (i, row) in vars.iter().enumerate() {
+                    for other in vars.iter().skip(i + 1) {
+                        s.add_clause(&[row[j].negative(), other[j].negative()]);
+                    }
                 }
             }
+            assert_eq!(s.solve(), SatResult::Unsat, "{n} into {m}");
+            assert!(s.stats().conflicts > 0);
         }
-        assert_eq!(s.solve(), SatResult::Unsat);
-        assert!(s.stats().conflicts > 0);
     }
 
     #[test]

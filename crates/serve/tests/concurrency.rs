@@ -4,6 +4,9 @@
 //! counter must only ever grow, and a repeat of an identical sweep must
 //! be served without a single checker call.
 //!
+//! Under load — 1,000 mixed requests against four workers — every request
+//! is answered, and a repeated sweep is served from the shared cache.
+//!
 //! Normalization: concurrent runs share the verdict cache, so engine
 //! counters (`stats`), cache summaries and wall-clock fields are
 //! warmth-dependent; `Json::strip_keys` removes `elapsed_ms`, `stats`,
@@ -11,6 +14,7 @@
 //! lattices, witnesses, orderings — must match exactly.
 
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 use mcm_core::json::Json;
 use mcm_query::wire::WireRequest;
@@ -59,12 +63,12 @@ fn cache_hits(addr: SocketAddr) -> i64 {
         .expect("cache.hits present")
 }
 
-fn checker_calls(addr: SocketAddr) -> i64 {
+fn engine_counter(addr: SocketAddr, name: &str) -> i64 {
     statsz(addr)
         .get("engine")
-        .and_then(|engine| engine.get("checker_calls"))
+        .and_then(|engine| engine.get(name))
         .and_then(Json::as_i64)
-        .expect("engine.checker_calls present")
+        .unwrap_or_else(|| panic!("engine.{name} present"))
 }
 
 const MIXED: [&str; 6] = [
@@ -163,7 +167,7 @@ fn second_identical_sweep_is_served_with_zero_checker_calls() {
 
     let first = client::post_query(addr, sweep).expect("first sweep");
     assert_eq!(first.status, 200);
-    let calls_after_first = checker_calls(addr);
+    let calls_after_first = engine_counter(addr, "checker_calls");
     assert!(
         calls_after_first > 0,
         "the cold sweep must have exercised the checker"
@@ -171,7 +175,7 @@ fn second_identical_sweep_is_served_with_zero_checker_calls() {
 
     let second = client::post_query(addr, sweep).expect("second sweep");
     assert_eq!(second.status, 200);
-    let calls_after_second = checker_calls(addr);
+    let calls_after_second = engine_counter(addr, "checker_calls");
     assert_eq!(
         calls_after_second, calls_after_first,
         "an identical sweep must be answered entirely from the shared cache"
@@ -264,4 +268,114 @@ fn explicit_cache_false_opts_a_request_out_of_the_shared_cache() {
     );
     handle.shutdown();
     runner.join().expect("clean shutdown");
+}
+
+/// The identical sweep of the cold/warm comparison. `jobs: 1` keeps the
+/// cold compute single-threaded so the warm speedup is the cache's, not
+/// the scheduler's, and the SAT checker makes checking dominate the fixed
+/// per-request work: a warm request skips exactly the expensive part.
+const WARM_SWEEP: &str = r#"{"query": "sweep", "checker": "sat", "engine": {"jobs": 1},
+                             "cache": true, "format": "json"}"#;
+
+/// One cycle of the load mix; 100 cycles make 1,000 requests.
+const LOAD_MIX: [&str; 10] = [
+    r#"{"query": "sweep", "engine": {"jobs": 2}}"#,
+    r#"{"query": "compare", "left": "TSO", "right": "x86"}"#,
+    r#"{"query": "check", "model": "SC", "tests": "catalog"}"#,
+    r#"{"query": "distinguish", "models": ["SC", "TSO", "PSO", "RMO"]}"#,
+    r#"{"query": "catalog"}"#,
+    r#"{"query": "sweep", "models": ["SC", "TSO", "PSO"], "tests": "catalog"}"#,
+    r#"{"query": "check", "model": "TSO", "tests": "catalog"}"#,
+    r#"{"query": "suite"}"#,
+    r#"{"query": "figures", "which": "fig3"}"#,
+    r#"{"query": "compare", "left": "SC", "right": "PSO"}"#,
+];
+
+/// Issues one query, retrying `503` backpressure after a fraction of the
+/// advertised `Retry-After`. Returns the latency of the answered attempt.
+fn timed_query(addr: SocketAddr, body: &str) -> Duration {
+    loop {
+        let start = Instant::now();
+        let response = client::post_query(addr, body).expect("request reaches the server");
+        if response.status == 503 {
+            let secs: u64 = response
+                .header("Retry-After")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(1);
+            std::thread::sleep(Duration::from_millis(25.max(secs * 50)));
+            continue;
+        }
+        assert_eq!(response.status, 200, "body: {}", response.body);
+        return start.elapsed();
+    }
+}
+
+/// Fans `requests` out round-robin over `threads` client threads and
+/// returns every latency.
+fn drive(addr: SocketAddr, requests: &[&str], threads: usize) -> Vec<Duration> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let mine: Vec<&str> = requests.iter().skip(t).step_by(threads).copied().collect();
+                scope.spawn(move || {
+                    mine.into_iter()
+                        .map(|body| timed_query(addr, body))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("client thread"))
+            .collect()
+    })
+}
+
+fn median(mut latencies: Vec<Duration>) -> Duration {
+    latencies.sort();
+    latencies[latencies.len() / 2]
+}
+
+#[test]
+#[ignore = "a load test of several seconds; run it with --release -- --ignored"]
+fn mixed_load_is_answered_and_a_repeated_sweep_is_cache_served() {
+    // Cold: a fresh server per sample, one sweep each, then a full drain.
+    let cold_p50 = median(
+        (0..8)
+            .map(|_| {
+                let (addr, handle, runner) = boot(4);
+                let elapsed = timed_query(addr, WARM_SWEEP);
+                handle.shutdown();
+                runner.join().expect("drained");
+                elapsed
+            })
+            .collect(),
+    );
+
+    // Warm: one primed server, the identical sweep 100 times in sequence
+    // (like the cold samples, so the p50s compare the cache, not queueing).
+    let (addr, handle, runner) = boot(4);
+    timed_query(addr, WARM_SWEEP);
+    let hits_before = engine_counter(addr, "cache_hits");
+    let calls_before = engine_counter(addr, "checker_calls");
+    let warm_p50 = median(drive(addr, &[WARM_SWEEP; 100], 1));
+    let warm_hits = engine_counter(addr, "cache_hits") - hits_before;
+    let warm_calls = engine_counter(addr, "checker_calls") - calls_before;
+    let hit_ratio = warm_hits as f64 / (warm_hits + warm_calls).max(1) as f64;
+    assert!(
+        hit_ratio > 0.90,
+        "warm sweeps must be cache-served: hit ratio {hit_ratio:.3} \
+         ({warm_hits} hits / {warm_calls} checker calls)"
+    );
+    assert!(
+        warm_p50 < cold_p50,
+        "the shared cache must pay for itself: warm p50 {warm_p50:.2?} vs cold p50 {cold_p50:.2?}"
+    );
+
+    // Mixed, on the same warm server: eight client threads against four
+    // workers, so the bounded queue and the 503 path engage.
+    let requests: Vec<&str> = LOAD_MIX.iter().cycle().take(1000).copied().collect();
+    assert_eq!(drive(addr, &requests, 8).len(), 1000);
+    handle.shutdown();
+    runner.join().expect("drained");
 }

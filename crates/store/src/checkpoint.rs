@@ -14,13 +14,14 @@
 //! a crash mid-save leaves the previous checkpoint intact.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::Path;
 
 use mcm_explore::{StreamCheckpoint, SweepStats, VerdictVector};
 use mcm_gen::{Shard, StreamBounds};
 
 use crate::bytes::{fnv1a, put_bool, put_u32, put_u64, put_u8, Reader};
+use crate::log::replace_atomically;
 
 /// First 8 bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"MCMCKPT\0";
@@ -236,18 +237,7 @@ impl CheckpointFile {
         let checksum = fnv1a(&payload);
         out.extend_from_slice(&payload);
         put_u64(&mut out, checksum);
-        let mut file_name = path
-            .file_name()
-            .ok_or_else(|| invalid(format!("{} has no file name", path.display())))?
-            .to_os_string();
-        file_name.push(".tmp");
-        let tmp = path.with_file_name(file_name);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&out)?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
+        replace_atomically(path, &out)
     }
 
     /// Loads the checkpoint at `path`. A missing file is `Ok(None)` —
@@ -368,6 +358,16 @@ mod tests {
         ckpt.save(&path).unwrap();
         assert_eq!(CheckpointFile::load(&path).unwrap().unwrap(), ckpt);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_save_leaves_no_tmp_behind() {
+        let dir = temp_path("is-a-directory");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A file cannot be renamed over a directory.
+        assert!(sample().save(&dir).is_err());
+        assert!(!dir.with_extension("ckpt.tmp").exists());
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

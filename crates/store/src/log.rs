@@ -388,26 +388,36 @@ impl LogWriter {
 /// sibling and renamed over the destination, so readers see either the
 /// old log or the complete new one. Returns the bytes written.
 pub fn write_atomic(path: &Path, records: &[Record]) -> io::Result<u64> {
-    let mut file_name = path
-        .file_name()
-        .ok_or_else(|| invalid(format!("{} has no file name", path.display())))?
-        .to_os_string();
-    file_name.push(".tmp");
-    let tmp = path.with_file_name(file_name);
     let mut out = Vec::with_capacity(HEADER_LEN as usize + records.len() * (RECORD_LEN + 1));
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, VERSION);
     for chunk in records.chunks(ATOMIC_FRAME_RECORDS) {
         out.extend_from_slice(&encode_frame(chunk));
     }
-    let bytes = out.len() as u64;
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&out)?;
-        file.sync_data()?;
+    replace_atomically(path, &out)?;
+    Ok(out.len() as u64)
+}
+
+/// Replaces the file at `path` with `bytes` in one step: they are written
+/// and synced to a `.tmp` sibling, which is then renamed over `path`. A
+/// crash leaves the old file or the new one, never a mix; a failed write,
+/// sync or rename removes the sibling before returning the error.
+pub(crate) fn replace_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file_name = path
+        .file_name()
+        .ok_or_else(|| invalid(format!("{} has no file name", path.display())))?
+        .to_os_string();
+    file_name.push(".tmp");
+    let tmp = path.with_file_name(file_name);
+    let mut file = File::create(&tmp)?;
+    let written = file
+        .write_all(bytes)
+        .and_then(|()| file.sync_data())
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(bytes)
+    written
 }
 
 #[cfg(test)]
@@ -581,7 +591,19 @@ mod tests {
         assert_eq!(back.records, records);
         assert!(back.tail.is_none());
         // No .tmp sibling left behind.
-        assert!(!path.with_file_name("atomic.tmp").exists());
+        assert!(!path.with_extension("log.tmp").exists());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The writer `compact` and `merge` share. (`compact` itself reads
+    /// the target first, so a directory fails it before any write.)
+    #[test]
+    fn a_failed_write_atomic_leaves_no_tmp_behind() {
+        let dir = temp_path("is-a-directory");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A file cannot be renamed over a directory.
+        assert!(write_atomic(&dir, &sample(3)).is_err());
+        assert!(!dir.with_extension("log.tmp").exists());
+        std::fs::remove_dir(&dir).unwrap();
     }
 }
